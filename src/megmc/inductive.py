@@ -2,19 +2,20 @@
 
 Side information arrives as kernel evaluations over row/column
 identities revealed online. Identities from update trials enter
-append-only registries; each trial rebuilds the Gram matrices over the
-registered identities (plus the current pair), takes PSD square roots,
-and replays the stored updates in the log-state form
+append-only registries, and the update log records each update as
+(trial, y_s, row position, col position) over them. Each trial rebuilds
+the Gram matrices over the registered identities (plus the current
+pair), takes PSD square roots, and forms the log-state exponent
 
-    log(W) = log(d_hat/(m+n)) I + sum_s eta y_s x(s) x(s)^T.
+    log(W) = log(d_hat/(m+n)) I + sum_s eta y_s x(s) x(s)^T
 
-Nothing is cached between trials: the per-trial cost is cubic in the
-registry sizes, which matches the stated budget of the method. When the
-full identity universes are finite and the transductive side matrices
-are the pseudoinverses of the full Grams (with matched r_tilde values),
-the two predictors produce identical outputs; equivalence_check drives
-both on shared trial and threshold streams and reports the largest
-prediction gap.
+from the update log with transductive.count_exponent. Nothing else is
+kept between trials: the per-trial cost is cubic in the registry sizes,
+which matches the stated budget of the method. When the full identity universes are
+finite and the transductive side matrices are the pseudoinverses of the
+full Grams (with matched r_tilde values), the two predictors produce
+identical outputs; equivalence_check drives both on shared trial and
+threshold streams and reports the largest prediction gap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .spectral import eig_sym, pinv_psd, sqrt_psd
 from .transductive import (
     Trace,
     TransductiveParams,
-    TrialRecord,
+    _run_protocol,
+    count_exponent,
+    exp_margin,
     run as run_transductive,
     should_update,
     sign_predict,
@@ -49,26 +52,24 @@ def _resolve_r_tilde(kernel, override):
     return val
 
 
-def _find(registry, ident):
+def _with_identity(registry, ident):
+    """(points, position): the registry plus ident if it is new, and its position."""
     for pos, existing in enumerate(registry):
         if np.array_equal(existing, ident):
-            return pos
-    return None
+            return registry, pos
+    return registry + [ident], len(registry)
 
 
 class InductivePredictor:
     """Kernelized online predictor with append-only identity registries."""
 
     def __init__(self, row_kernel, col_kernel, params: TransductiveParams,
-                 r_tilde_row=None, r_tilde_col=None, collapse_terms: bool = False):
+                 r_tilde_row=None, r_tilde_col=None):
         self.row_kernel = row_kernel
         self.col_kernel = col_kernel
         self.params = params
         self.r_tilde_row = _resolve_r_tilde(row_kernel, r_tilde_row)
         self.r_tilde_col = _resolve_r_tilde(col_kernel, r_tilde_col)
-        # collapsing sums the eta y_s coefficients of repeated (i, j)
-        # update pairs into one rank-one term; off by default
-        self.collapse_terms = collapse_terms
         self.kappa = float(np.log(params.d_hat / (params.m + params.n)))
         self.row_registry: list = []
         self.col_registry: list = []
@@ -82,20 +83,6 @@ class InductivePredictor:
     def registry_sizes(self) -> tuple[int, int]:
         return len(self.row_registry), len(self.col_registry)
 
-    def _coefficients(self):
-        """Per-term coefficients eta * y_s, optionally collapsed per pair."""
-        if not self.collapse_terms:
-            return [(self.params.eta * y, rp, cp) for _, y, rp, cp in self.update_log]
-        grouped: dict[tuple[int, int], float] = {}
-        order: list[tuple[int, int]] = []
-        for _, y, rp, cp in self.update_log:
-            key = (rp, cp)
-            if key not in grouped:
-                grouped[key] = 0.0
-                order.append(key)
-            grouped[key] += self.params.eta * y
-        return [(grouped[key], key[0], key[1]) for key in order]
-
     def step(self, i_t, j_t, y_rand: float = 0.0):
         """Predict for identities (i_t, j_t); returns (ybar, yhat).
 
@@ -105,41 +92,18 @@ class InductivePredictor:
         if self._pending is not None:
             raise RuntimeError("previous step was never committed")
         self._trial += 1
-        rows = list(self.row_registry)
-        pos_i = _find(rows, i_t)
-        row_is_new = pos_i is None
-        if row_is_new:
-            pos_i = len(rows)
-            rows.append(i_t)
-        cols = list(self.col_registry)
-        pos_j = _find(cols, j_t)
-        col_is_new = pos_j is None
-        if col_is_new:
-            pos_j = len(cols)
-            cols.append(j_t)
-
+        rows, pos_i = _with_identity(self.row_registry, i_t)
+        cols, pos_j = _with_identity(self.col_registry, j_t)
         row_gram = gram_matrix(self.row_kernel, rows)
         col_gram = gram_matrix(self.col_kernel, cols)
         sq_row = sqrt_psd(row_gram) / np.sqrt(2.0 * self.r_tilde_row)
         sq_col = sqrt_psd(col_gram) / np.sqrt(2.0 * self.r_tilde_col)
-        q_r = len(rows)
-        q = q_r + len(cols)
-
-        def embed(rp: int, cp: int) -> np.ndarray:
-            x = np.zeros(q)
-            x[:q_r] = sq_row[:, rp]
-            x[q_r:] = sq_col[:, cp]
-            return x
-
-        exponent = self.kappa * np.eye(q)
-        for coeff, rp, cp in self._coefficients():
-            x = embed(rp, cp)
-            exponent += coeff * np.outer(x, x)
+        exponent = count_exponent(self.kappa, self.params.eta, self.update_log,
+                                  sq_row, sq_col)
         w, v = eig_sym(exponent)
-        x_t = embed(pos_i, pos_j)
-        z = v.T @ x_t
-        ybar = float(np.exp(w) @ (z * z)) - 1.0
-        self._pending = (self._trial, i_t, j_t, row_is_new, col_is_new, ybar)
+        x_t = np.concatenate((sq_row[:, pos_i], sq_col[:, pos_j]))
+        ybar = exp_margin(w, v, x_t, self.params.eta)
+        self._pending = (self._trial, i_t, j_t, pos_i, pos_j, ybar)
         return ybar, sign_predict(ybar, y_rand)
 
     def commit(self, y: int) -> bool:
@@ -148,56 +112,37 @@ class InductivePredictor:
             raise RuntimeError("no pending step to commit")
         if y not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {y}")
-        trial, i_t, j_t, row_is_new, col_is_new, ybar = self._pending
+        trial, i_t, j_t, pos_i, pos_j, ybar = self._pending
         self._pending = None
         if not should_update(y, ybar, self.params):
             return False
-        if row_is_new:
+        # a position equal to the registry size marks an identity that was
+        # new at step; only commit appends, so that still holds here
+        if pos_i == len(self.row_registry):
             self.row_registry.append(i_t)
-            pos_i = len(self.row_registry) - 1
-        else:
-            pos_i = _find(self.row_registry, i_t)
-        if col_is_new:
+        if pos_j == len(self.col_registry):
             self.col_registry.append(j_t)
-            pos_j = len(self.col_registry) - 1
-        else:
-            pos_j = _find(self.col_registry, j_t)
         self.update_log.append((trial, int(y), pos_i, pos_j))
         return True
 
 
 def run_inductive(trials, predictor: InductivePredictor, rng,
                   row_identity=None, col_identity=None) -> Trace:
-    """Online protocol driver mirroring the transductive run.
+    """Online protocol driver for the inductive predictor.
 
     Trials carry integer indices (i, j, y); row_identity/col_identity
     map an index to the kernel identity (defaults to the index itself,
     which suits precomputed-Gram kernels). One threshold draw is
     consumed per trial regardless of mode.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    if row_identity is None:
-        row_identity = lambda i: i
-    if col_identity is None:
-        col_identity = lambda j: j
-    params = predictor.params
-    trace = Trace()
-    for t, (i, j, y) in enumerate(trials, start=1):
-        y = int(y)
-        if y not in (-1, 1):
-            raise ValueError(f"label at trial {t} must be -1 or +1, got {y}")
-        draw = float(rng.uniform(-params.gamma, params.gamma))
-        y_rand = draw if params.non_conservative else 0.0
-        ybar, yhat = predictor.step(row_identity(i), col_identity(j), y_rand)
-        updated = predictor.commit(y)
-        n_rows, n_cols = predictor.registry_sizes
-        trace.append(TrialRecord(
-            t=t, i=int(i), j=int(j), ybar=ybar, y_rand=y_rand, yhat=yhat,
-            y=y, updated=updated, mistake=(yhat != y),
-            registry_rows=n_rows, registry_cols=n_cols,
-        ))
-    return trace
+    row_identity = row_identity or (lambda i: i)
+    col_identity = col_identity or (lambda j: j)
+    return _run_protocol(
+        trials, predictor.params, rng,
+        lambda i, j, y_rand: predictor.step(row_identity(i), col_identity(j), y_rand),
+        lambda t, i, j, y, ybar: predictor.commit(y),
+        lambda: predictor.registry_sizes,
+    )
 
 
 def equivalence_check(row_points, col_points, row_kernel, col_kernel,

@@ -44,7 +44,8 @@ class FamilyResult:
         return self.failures == 0
 
 
-def _random_connected_graph(rng, n, p=0.35) -> Graph:
+def random_connected_graph(rng, n, p=0.35) -> Graph:
+    """A spanning path, which keeps the graph connected, plus random edges."""
     edges = {(i, i + 1) for i in range(n - 1)}
     for i in range(n):
         for j in range(i + 1, n):
@@ -94,7 +95,7 @@ def pdlaplacian_inequality_family(seed=0, vectors=1000, corrupt=False) -> Family
     per_graph = max(1, vectors // graphs)
     for _ in range(graphs):
         m = int(rng.integers(3, 25))
-        lap = laplacian_from_graph(_random_connected_graph(rng, m))
+        lap = laplacian_from_graph(random_connected_graph(rng, m))
         shifted = pd_laplacian(lap)
         if corrupt:
             r_l = squared_radius(lap)
@@ -120,7 +121,7 @@ def laplacian_quadratic_family(seed=0, cases=20, tol=1e-8) -> FamilyResult:
     out = []
     for _ in range(cases):
         n = int(rng.integers(3, 15))
-        g = _random_connected_graph(rng, n)
+        g = random_connected_graph(rng, n)
         lap = laplacian_from_graph(g)
         x = rng.standard_normal((n, int(rng.integers(1, 5))))
         direct = float(np.trace(x.T @ lap @ x))
@@ -135,7 +136,7 @@ def embedding_norm_family(seed=0, cases=15, tol=1e-10) -> FamilyResult:
     out = []
     for _ in range(cases):
         m = int(rng.integers(2, 12))
-        lap = laplacian_from_graph(_random_connected_graph(rng, m))
+        lap = laplacian_from_graph(random_connected_graph(rng, m))
         emb = embedding_from_pd(pd_laplacian(lap))
         for i in range(m):
             norm_sq = float(emb.column(i) @ emb.column(i))
@@ -158,8 +159,8 @@ def comparator_family(seed=0, cases=8, tol=1e-8) -> FamilyResult:
         dec = inst.dec
         p_hat = (dec.r_matrix() @ dec.u_star) / math.sqrt(dec.l)
         q_hat = dec.c_matrix()
-        m_side = pd_laplacian(laplacian_from_graph(_random_connected_graph(rng, m)))
-        n_side = pd_laplacian(laplacian_from_graph(_random_connected_graph(rng, n)))
+        m_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, m)))
+        n_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, n)))
         zm = math.sqrt(squared_radius(m_side)) * (sqrt_psd(m_side) @ p_hat)
         zn = math.sqrt(squared_radius(n_side)) * (sqrt_psd(n_side) @ q_hat)
         z = np.vstack((zm, zn))

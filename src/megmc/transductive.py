@@ -3,16 +3,19 @@
 Side-information embeddings for every row and column identity are fixed
 before learning starts. The predictor state lives in the log domain: a
 scalar kappa = log(d_hat / (m+n)) on the diagonal plus the running sum
-of eta * y_s * x_s x_s^T over update trials. The density matrix is the
-spectral exponential of that sum; it is rematerialized (one
-eigendecomposition) only when an update has landed since the last
-prediction, which is the dominant cost lever because conservative runs
-update rarely.
+of eta * y_s * x_s x_s^T over update trials, and its history is the
+update log of (trial, y_s, row, col) entries. The helpers shared with
+the inductive predictor (count_exponent, exp_margin and the protocol
+loop) live here. This predictor keeps the exponent itself, adding one
+rank-one term per update, and rematerializes its eigendecomposition
+only when an update has landed since the last prediction, which is the
+dominant cost lever because conservative runs update rarely.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +155,46 @@ def sign_predict(ybar: float, y_rand: float) -> int:
     return 1 if ybar - y_rand > 0 else -1
 
 
+def count_exponent(kappa: float, eta: float, update_log, row_factor: np.ndarray,
+                   col_factor: np.ndarray) -> np.ndarray:
+    """kappa I + eta sum_s y_s x_s x_s^T from an update log, x_s stacking
+    column r_s of row_factor (B_row) over column c_s of col_factor (B_col).
+
+    The sum depends on the log only through the signed count matrix
+    Y[r, c] = sum of y_s over updates at (r, c), with B = blockdiag(B_row, B_col):
+    S = kappa I + eta B [[diag(Y 1), Y], [Y^T, diag(Y^T 1)]] B^T.
+    """
+    q_r, q_c = row_factor.shape[0], col_factor.shape[0]
+    counts = np.zeros((row_factor.shape[1], col_factor.shape[1]))
+    if update_log:
+        _, ys, rows, cols = zip(*update_log)
+        np.add.at(counts, (rows, cols), ys)
+    s = np.empty((q_r + q_c, q_r + q_c))
+    s[:q_r, :q_r] = (row_factor * counts.sum(axis=1)) @ row_factor.T
+    s[:q_r, q_r:] = row_factor @ counts @ col_factor.T
+    s[q_r:, :q_r] = s[:q_r, q_r:].T
+    s[q_r:, q_r:] = (col_factor * counts.sum(axis=0)) @ col_factor.T
+    s *= eta
+    s[np.diag_indices_from(s)] += kappa
+    return s
+
+
+def exp_margin(w: np.ndarray, v: np.ndarray, x: np.ndarray, eta: float) -> float:
+    """x^T exp(S) x - 1 from the eigendecomposition (w, v) of the exponent S.
+
+    An overflow of exp raises ValueError rather than yield an inf or nan margin.
+    """
+    z = v.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        ybar = float(np.exp(w) @ (z * z)) - 1.0
+    if not math.isfinite(ybar):
+        raise ValueError(
+            f"margin is not finite: the exponent's largest eigenvalue {w[-1]:.4g} "
+            f"overflows exp; eta={eta!r} is too large for this run"
+        )
+    return ybar
+
+
 class MatrixExpGradPredictor:
     """Transductive predictor over fixed row/column embeddings."""
 
@@ -165,10 +208,10 @@ class MatrixExpGradPredictor:
         self.kappa = float(np.log(params.d_hat / (params.m + params.n)))
         q = params.m + params.n
         self._exponent = self.kappa * np.eye(q)
-        # terms: (trial index, y_s, i_s, j_s) for every committed update
-        self.terms: list[tuple[int, int, int, int]] = []
-        # eigendecomposition cache of the exponent; valid while the term
-        # list is unchanged
+        # update log entries: (trial, y_s, i_s, j_s) for every committed update
+        self.update_log: list[tuple[int, int, int, int]] = []
+        # eigendecomposition cache of the exponent; valid while the update
+        # log is unchanged
         self._cache_w = np.full(q, self.kappa)
         self._cache_v = np.eye(q)
         self._dirty = False
@@ -187,8 +230,7 @@ class MatrixExpGradPredictor:
     def margin(self, x: np.ndarray) -> float:
         """x^T exp(S) x - 1 via the cached eigendecomposition of S."""
         self._refresh()
-        z = self._cache_v.T @ x
-        return float(np.exp(self._cache_w) @ (z * z)) - 1.0
+        return exp_margin(self._cache_w, self._cache_v, x, self.params.eta)
 
     def predict(self, i: int, j: int, y_rand: float = 0.0):
         """Return (ybar, yhat) for the queried entry."""
@@ -203,7 +245,7 @@ class MatrixExpGradPredictor:
             return False
         x = self.embed(i, j)
         self._exponent += (self.params.eta * y) * np.outer(x, x)
-        self.terms.append((t, y, i, j))
+        self.update_log.append((t, y, i, j))
         self._dirty = True
         return True
 
@@ -215,30 +257,27 @@ class MatrixExpGradPredictor:
         return (out + out.T) / 2.0
 
     def rebuilt_exponent(self) -> np.ndarray:
-        """Exponent recomputed from the term list alone (replay check)."""
-        q = self.params.m + self.params.n
-        s = self.kappa * np.eye(q)
-        for _, y, i, j in self.terms:
-            x = self.embed(i, j)
-            s += (self.params.eta * y) * np.outer(x, x)
-        return s
+        """Exponent recomputed from the update log alone (replay check)."""
+        return count_exponent(self.kappa, self.params.eta, self.update_log,
+                              self.row_embedding.factor, self.col_embedding.factor)
 
     def rebuilt_density_matrix(self) -> np.ndarray:
         return exp_sym(self.rebuilt_exponent())
 
 
-def run(trials, row_embedding: SideEmbedding, col_embedding: SideEmbedding,
-        params: TransductiveParams, rng) -> Trace:
-    """Run the online protocol over a trial sequence of (i, j, y) triples.
+def _run_protocol(trials, params: TransductiveParams, rng, predict, settle,
+                  registry_sizes=None) -> Trace:
+    """The online protocol loop behind run and inductive.run_inductive.
 
-    rng supplies the randomized threshold draws; one uniform(-gamma, gamma)
-    draw is consumed per trial in both modes, so conservative and
-    non-conservative runs are comparable seed for seed (the draw is
-    zeroed, not skipped, in conservative mode).
+    Each trial calls predict(i, j, y_rand) -> (ybar, yhat), then
+    settle(t, i, j, y, ybar) -> updated, once each; registry_sizes(),
+    if given, fills the registry columns. One uniform(-gamma, gamma)
+    draw from rng is consumed per trial in both modes, so conservative
+    and non-conservative runs, and the two predictors, see the same stream
+    seed for seed (the draw is zeroed, not skipped, in conservative mode).
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    predictor = MatrixExpGradPredictor(row_embedding, col_embedding, params)
     trace = Trace()
     for t, (i, j, y) in enumerate(trials, start=1):
         y = int(y)
@@ -246,10 +285,23 @@ def run(trials, row_embedding: SideEmbedding, col_embedding: SideEmbedding,
             raise ValueError(f"label at trial {t} must be -1 or +1, got {y}")
         draw = float(rng.uniform(-params.gamma, params.gamma))
         y_rand = draw if params.non_conservative else 0.0
-        ybar, yhat = predictor.predict(i, j, y_rand)
-        updated = predictor.update(t, i, j, y, ybar)
+        ybar, yhat = predict(i, j, y_rand)
+        updated = settle(t, i, j, y, ybar)
+        n_rows, n_cols = registry_sizes() if registry_sizes else (None, None)
         trace.append(TrialRecord(
             t=t, i=int(i), j=int(j), ybar=ybar, y_rand=y_rand, yhat=yhat,
             y=y, updated=updated, mistake=(yhat != y),
+            registry_rows=n_rows, registry_cols=n_cols,
         ))
     return trace
+
+
+def run(trials, row_embedding: SideEmbedding, col_embedding: SideEmbedding,
+        params: TransductiveParams, rng) -> Trace:
+    """Run the online protocol over a trial sequence of (i, j, y) triples.
+
+    rng (a Generator or an integer seed) supplies one threshold draw per
+    trial in both modes.
+    """
+    predictor = MatrixExpGradPredictor(row_embedding, col_embedding, params)
+    return _run_protocol(trials, params, rng, predictor.predict, predictor.update)

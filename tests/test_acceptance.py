@@ -2,10 +2,12 @@
 
 Each test prints a single CRITERION line (visible under pytest -s) and
 asserts it. The benchmark grid is computed once per session; the whole
-file is sized to finish in well under half an hour on one core.
+file is sized to finish in well under half an hour on one core; the
+grid runs spread their cells over up to JOBS worker processes.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from megmc.experiments import (
     equivalence_sweep,
     realizable_bound,
     run_table1,
-    table1_cell,
 )
 from megmc.props import run_property_suite
 from megmc.quasidim import dqd_upper_pdlap
@@ -32,6 +33,9 @@ REFERENCE_ERRORS = {
     100: (0.36, 0.15),
 }
 ERROR_TOLERANCE = 0.05
+# each grid cell is seeded by its own arguments, so rows do not depend on
+# the number of workers
+JOBS = min(2, os.cpu_count() or 1)
 
 
 def _report(idx: int, name: str, ok: bool, detail: str) -> bool:
@@ -42,7 +46,7 @@ def _report(idx: int, name: str, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def desk_grid():
     config = ExperimentConfig(n_values=tuple(REFERENCE_ERRORS), betas=(0.0, 0.5),
-                              reps=10, seed=0)
+                              reps=10, seed=0, jobs=JOBS)
     return run_table1(config)["cells"]
 
 
@@ -122,8 +126,12 @@ def test_criterion_4_invariant_suites():
 
 
 def test_criterion_5_regret_within_theoretical_bound():
+    config = ExperimentConfig(n_values=(40, 80), betas=(0.0,), reps=20, seed=0,
+                              jobs=JOBS)
+    all_rows = run_table1(config)["rows"]
     for n in (40, 80):
-        rows = [table1_cell(0, n, 0.0, rep) for rep in range(20)]
+        rows = [r for r in all_rows if r["n"] == n]
+        assert len(rows) == 20
         excess = np.mean([r["mistakes"] for r in rows]) - np.mean(
             [r["noise_flips"] for r in rows])
         bound = np.mean([r["regret_bound"] for r in rows])

@@ -121,6 +121,15 @@ def test_validation_failure_exit_1(capsys):
     assert "benchmark dimension" in err
 
 
+@pytest.mark.parametrize("mode", ["transductive", "inductive"])
+def test_overflowing_eta_exits_1(capsys, mode):
+    code, out, err = run_cli(capsys, ["run", "--mode", mode, "--n", "20",
+                                      "--beta", "0.5", "--eta", "1e5"])
+    assert code == 1
+    assert out == ""
+    assert "eta=100000.0 is too large" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, ["bogus"])
     assert code == 1

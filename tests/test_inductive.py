@@ -7,13 +7,25 @@ from megmc.inductive import (
     equivalence_check,
     run_inductive,
 )
+from megmc.props import random_connected_graph
 from megmc.sideinfo import (
     LinearKernel,
     MinKernel,
     PrecomputedKernel,
+    embedding_from_pd,
+    gram_matrix,
     identity_embedding,
+    laplacian_from_graph,
+    pd_laplacian,
 )
-from megmc.transductive import Trace, TransductiveParams, run as run_transductive
+from megmc.spectral import sqrt_psd
+from megmc.transductive import (
+    MatrixExpGradPredictor,
+    Trace,
+    TransductiveParams,
+    count_exponent,
+    run as run_transductive,
+)
 
 
 def make_params(m, n, **kw):
@@ -250,20 +262,73 @@ def test_equivalence_linear_kernel_reduces_to_identity_sides():
         assert rec_i.ybar == pytest.approx(rec_r.ybar, abs=1e-8)
 
 
-def test_collapse_toggle_preserves_predictions():
-    kern = PrecomputedKernel(np.array([[2.0, 0.5], [0.5, 2.0]]))
-    params = make_params(2, 2, eta=0.7, gamma=1.0)
+def outer_replay_exponent(kappa, eta, log, row_factor, col_factor):
+    """Reference exponent: one np.outer per logged update."""
+    q = row_factor.shape[0] + col_factor.shape[0]
+    s = kappa * np.eye(q)
+    for _, y, rp, cp in log:
+        x = np.concatenate((row_factor[:, rp], col_factor[:, cp]))
+        s += eta * y * np.outer(x, x)
+    return s
+
+
+# (row, col, label) updates; the two at (0, 1) cancel to a zero count
+CANCELLING_UPDATES = [(0, 1, 1), (1, 0, -1), (0, 1, -1), (2, 1, 1), (1, 1, 1), (2, 0, -1)]
+
+
+def transductive_count_case(params):
     rng = np.random.default_rng(6)
-    trials = [(int(rng.integers(2)), int(rng.integers(2)),
-               int(rng.choice((-1, 1)))) for _ in range(16)]
-    traces = []
-    for collapse in (False, True):
-        pred = InductivePredictor(kern, kern, params, collapse_terms=collapse)
-        traces.append(run_inductive(trials, pred, np.random.default_rng(7)))
-    assert traces[0].updates == traces[1].updates > 0
-    for a, b in zip(*traces):
-        assert a.ybar == pytest.approx(b.ybar, abs=1e-10)
-        assert a.updated == b.updated
+    row_emb, col_emb = (
+        embedding_from_pd(pd_laplacian(laplacian_from_graph(random_connected_graph(rng, size))))
+        for size in (params.m, params.n)
+    )
+    pred = MatrixExpGradPredictor(row_emb, col_emb, params)
+    for t, (i, j, y) in enumerate(CANCELLING_UPDATES, start=1):
+        assert pred.update(t, i, j, y, ybar=0.0)
+    factors = (row_emb.factor, col_emb.factor)
+    ybar, _ = pred.predict(0, 1)
+    return pred, factors, pred.rebuilt_exponent(), ybar, np.concatenate(
+        (row_emb.column(0), col_emb.column(1)))
+
+
+def inductive_count_case(params):
+    row_kernel = PrecomputedKernel(np.array([[2.0, 0.5, 0.2], [0.5, 1.5, 0.3],
+                                             [0.2, 0.3, 1.0]]))
+    col_kernel = PrecomputedKernel(np.array([[2.0, 0.5], [0.5, 2.0]]))
+    pred = InductivePredictor(row_kernel, col_kernel, params)
+    for i, j, y in CANCELLING_UPDATES:
+        pred.step(i, j)
+        assert pred.commit(y)
+    # registry positions follow first-update order, not the indices
+    factors = (
+        sqrt_psd(gram_matrix(row_kernel, pred.row_registry)) / np.sqrt(2.0 * pred.r_tilde_row),
+        sqrt_psd(gram_matrix(col_kernel, pred.col_registry)) / np.sqrt(2.0 * pred.r_tilde_col),
+    )
+    exponent = count_exponent(pred.kappa, params.eta, pred.update_log, *factors)
+    ybar, _ = pred.step(0, 1)
+    pos_i, pos_j = pred.row_registry.index(0), pred.col_registry.index(1)
+    return pred, factors, exponent, ybar, np.concatenate(
+        (factors[0][:, pos_i], factors[1][:, pos_j]))
+
+
+@pytest.mark.parametrize("case", [transductive_count_case, inductive_count_case],
+                         ids=["transductive", "inductive"])
+def test_count_exponent_matches_outer_replay(case):
+    params = make_params(3, 2, eta=0.7, gamma=1.0)
+    pred, factors, exponent, ybar, x = case(params)
+    assert len(pred.update_log) == len(CANCELLING_UPDATES)
+    reference = outer_replay_exponent(pred.kappa, params.eta, pred.update_log, *factors)
+    assert_allclose(exponent, reference, atol=1e-12)
+    # the cancelled pair leaves the same exponent as never updating there
+    cancelled = pred.update_log[0][2:]
+    kept = [entry for entry in pred.update_log if entry[2:] != cancelled]
+    assert len(kept) == len(CANCELLING_UPDATES) - 2
+    assert_allclose(exponent, outer_replay_exponent(pred.kappa, params.eta, kept, *factors),
+                    atol=1e-12)
+    # and the predictor reads its margin off that exponent
+    w, v = np.linalg.eigh(reference)
+    z = v.T @ x
+    assert ybar == pytest.approx(float(np.exp(w) @ (z * z)) - 1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

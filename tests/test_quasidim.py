@@ -138,7 +138,7 @@ def test_dqd_upper_pdlap_two_path_example():
 
 def test_dqd_upper_pdlap_symmetric_in_sides():
     rng = np.random.default_rng(2)
-    from tests_support import random_connected_graph
+    from megmc.props import random_connected_graph
 
     g = random_connected_graph(rng, 9)
     side = pd_laplacian(laplacian_from_graph(g))
@@ -168,7 +168,7 @@ def test_dqd_pdlap_term_stable_under_edge_weight_scaling():
     # invariant when all edge weights double; the contract only promises
     # a factor-2 band, the construction delivers exact invariance
     rng = np.random.default_rng(3)
-    from tests_support import random_connected_graph
+    from megmc.props import random_connected_graph
 
     g = random_connected_graph(rng, 8)
     doubled = type(g)(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from megmc.props import random_connected_graph
 from megmc.sideinfo import (
     BoxSeparation,
     Graph,
@@ -26,7 +27,7 @@ from megmc.sideinfo import (
     write_points,
 )
 from megmc.spectral import eig_sym, pinv_psd, quad_form
-from tests_support import path_graph, random_connected_graph
+from tests_support import path_graph
 
 
 # ---------------------------------------------------------------------------

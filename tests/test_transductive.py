@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from megmc.inductive import InductivePredictor, run_inductive
+from megmc.props import random_connected_graph
 from megmc.quasidim import FactorPair, quasi_dim_factored
 from megmc.sideinfo import (
+    PrecomputedKernel,
     embedding_from_pd,
     identity_embedding,
     laplacian_from_graph,
@@ -24,7 +27,6 @@ from megmc.transductive import (
     should_update,
     sign_predict,
 )
-from tests_support import random_connected_graph
 
 
 def identity_params(m, n, **kw):
@@ -181,7 +183,7 @@ def test_replay_determinism():
         y = int(rng.choice((-1, 1)))
         ybar, _ = pred.predict(i, j, float(rng.uniform(-0.5, 0.5)))
         pred.update(t, i, j, y, ybar)
-    assert pred.terms  # the loop must have produced updates to replay
+    assert pred.update_log  # the loop must have produced updates to replay
     assert_allclose(pred._exponent, pred.rebuilt_exponent(), atol=1e-12)
     assert_allclose(
         pred.density_matrix(), pred.rebuilt_density_matrix(), atol=1e-10
@@ -301,28 +303,58 @@ def test_run_rejects_bad_label():
             identity_params(2, 2), rng=0)
 
 
-def test_run_is_deterministic_given_seed():
+def run_identity_transductive(trials, params, rng):
+    return run(trials, identity_embedding(params.m), identity_embedding(params.n),
+               params, rng)
+
+
+def run_identity_inductive(trials, params, rng):
+    # a Gram of 2I over the registry embeds each identity as a column of
+    # I / sqrt(2), as identity_embedding does
+    pred = InductivePredictor(PrecomputedKernel(2.0 * np.eye(params.m)),
+                              PrecomputedKernel(2.0 * np.eye(params.n)), params)
+    return run_inductive(trials, pred, rng)
+
+
+both_predictors = pytest.mark.parametrize(
+    "drive", [run_identity_transductive, run_identity_inductive],
+    ids=["transductive", "inductive"],
+)
+
+
+@both_predictors
+def test_run_is_deterministic_given_seed(drive):
     rng = np.random.default_rng(5)
     trials = [(int(rng.integers(3)), int(rng.integers(3)),
                int(rng.choice((-1, 1)))) for _ in range(30)]
     params = identity_params(3, 3, eta=0.5, gamma=0.5)
-    t1 = run(trials, identity_embedding(3), identity_embedding(3), params, rng=42)
-    t2 = run(trials, identity_embedding(3), identity_embedding(3), params, rng=42)
+    t1 = drive(trials, params, rng=42)
+    t2 = drive(trials, params, rng=42)
+    assert t1.updates > 0
     for a, b in zip(t1, t2):
         assert (a.ybar, a.y_rand, a.yhat, a.updated) == (b.ybar, b.y_rand, b.yhat, b.updated)
 
 
-def test_conservative_consumes_rng_like_nonconservative():
+@both_predictors
+def test_conservative_consumes_rng_like_nonconservative(drive):
     # the threshold draw is zeroed, not skipped, so both modes advance the
     # stream identically
     trials = [(0, 0, 1), (1, 1, -1), (0, 1, 1)]
     g1 = np.random.default_rng(7)
-    run(trials, identity_embedding(2), identity_embedding(2),
-        identity_params(2, 2, non_conservative=False), rng=g1)
+    drive(trials, identity_params(2, 2, non_conservative=False), rng=g1)
     g2 = np.random.default_rng(7)
     for _ in trials:
         g2.uniform(-1.0, 1.0)
     assert g1.uniform() == g2.uniform()
+
+
+@both_predictors
+def test_overflowing_margin_raises_naming_eta(drive):
+    # the first update puts eta |x|^2 = 1e5 into the exponent, which exp
+    # cannot represent, so the second margin would be inf
+    params = identity_params(2, 2, eta=1e5)
+    with pytest.raises(ValueError, match="eta=100000.0 is too large"):
+        drive([(0, 0, 1), (0, 0, 1)], params, rng=0)
 
 
 def test_conservative_never_updates_when_confidently_correct():

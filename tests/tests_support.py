@@ -6,12 +6,3 @@ from megmc.sideinfo import Graph
 def path_graph(n, w=1.0):
     return Graph(n_vertices=n, edges=tuple((i, i + 1, w) for i in range(n - 1)))
 
-
-def random_connected_graph(rng, n, p=0.35):
-    # spanning path plus random extra edges keeps it connected
-    edges = {(i, i + 1) for i in range(n - 1)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.add((i, j))
-    return Graph(n_vertices=n, edges=tuple((i, j, 1.0) for i, j in sorted(edges)))
