@@ -1,17 +1,19 @@
 """Inductive kernelized predictor and the transductive-equivalence harness.
 
 Side information arrives as kernel evaluations over row/column
-identities revealed online. Identities from update trials enter
-append-only registries, and the update log records each update as
-(trial, y_s, row position, col position) over them. Each trial rebuilds
-the Gram matrices over the registered identities (plus the current
-pair), takes PSD square roots, and forms the log-state exponent
+identities revealed online. Trials name rows and columns by keys, which
+the predictor's identity maps turn into kernel identities. Keys from
+update trials enter append-only registries (dicts from key to position),
+and the update log records each update as (trial, y_s, row position,
+col position) over them. Each trial forms the Gram over the registered
+identities (plus the current pair) with one kernel call per side, takes
+PSD square roots, and forms the log-state exponent
 
     log(W) = log(d_hat/(m+n)) I + sum_s eta y_s x(s) x(s)^T
 
 from the update log with transductive.count_exponent. Nothing else is
-kept between trials: the per-trial cost is cubic in the registry sizes,
-which matches the stated budget of the method. When the full identity universes are
+kept between trials: the per-trial cost is three eigendecompositions,
+cubic in the registry sizes. When the full identity universes are
 finite and the transductive side matrices are the pseudoinverses of the
 full Grams (with matched r_tilde values), the two predictors produce
 identical outputs; equivalence_check drives both on shared trial and
@@ -52,27 +54,35 @@ def _resolve_r_tilde(kernel, override):
     return val
 
 
-def _with_identity(registry, ident):
-    """(points, position): the registry plus ident if it is new, and its position."""
-    for pos, existing in enumerate(registry):
-        if np.array_equal(existing, ident):
-            return registry, pos
-    return registry + [ident], len(registry)
+def _side_factor(kernel, identity, registry, key, r_tilde):
+    """(sqrt(K) / sqrt(2 r_tilde), position of key), K the Gram over the
+    registered keys plus key if it is new."""
+    pos = registry.get(key, len(registry))
+    gram = kernel([identity(k) for k in {**registry, key: pos}])
+    return sqrt_psd(gram) / np.sqrt(2.0 * r_tilde), pos
 
 
 class InductivePredictor:
-    """Kernelized online predictor with append-only identity registries."""
+    """Kernelized online predictor with append-only key registries.
+
+    row_identity/col_identity map a row/column key to its kernel identity
+    (default: the key itself); row_registry/col_registry map each key
+    registered by an update to its position, in insertion order.
+    """
 
     def __init__(self, row_kernel, col_kernel, params: TransductiveParams,
-                 r_tilde_row=None, r_tilde_col=None):
+                 r_tilde_row=None, r_tilde_col=None,
+                 row_identity=None, col_identity=None):
         self.row_kernel = row_kernel
         self.col_kernel = col_kernel
         self.params = params
         self.r_tilde_row = _resolve_r_tilde(row_kernel, r_tilde_row)
         self.r_tilde_col = _resolve_r_tilde(col_kernel, r_tilde_col)
+        self.row_identity = row_identity or (lambda key: key)
+        self.col_identity = col_identity or (lambda key: key)
         self.kappa = float(np.log(params.d_hat / (params.m + params.n)))
-        self.row_registry: list = []
-        self.col_registry: list = []
+        self.row_registry: dict = {}
+        self.col_registry: dict = {}
         # update log entries: (trial, y_s, row position, col position);
         # positions index the registries, which only ever append
         self.update_log: list[tuple[int, int, int, int]] = []
@@ -83,8 +93,8 @@ class InductivePredictor:
     def registry_sizes(self) -> tuple[int, int]:
         return len(self.row_registry), len(self.col_registry)
 
-    def step(self, i_t, j_t, y_rand: float = 0.0):
-        """Predict for identities (i_t, j_t); returns (ybar, yhat).
+    def step(self, i, j, y_rand: float = 0.0):
+        """Predict for row key i and column key j; returns (ybar, yhat).
 
         The update decision is made afterwards by commit; until then the
         trial is held pending.
@@ -92,18 +102,16 @@ class InductivePredictor:
         if self._pending is not None:
             raise RuntimeError("previous step was never committed")
         self._trial += 1
-        rows, pos_i = _with_identity(self.row_registry, i_t)
-        cols, pos_j = _with_identity(self.col_registry, j_t)
-        row_gram = gram_matrix(self.row_kernel, rows)
-        col_gram = gram_matrix(self.col_kernel, cols)
-        sq_row = sqrt_psd(row_gram) / np.sqrt(2.0 * self.r_tilde_row)
-        sq_col = sqrt_psd(col_gram) / np.sqrt(2.0 * self.r_tilde_col)
+        sq_row, pos_i = _side_factor(self.row_kernel, self.row_identity,
+                                     self.row_registry, i, self.r_tilde_row)
+        sq_col, pos_j = _side_factor(self.col_kernel, self.col_identity,
+                                     self.col_registry, j, self.r_tilde_col)
         exponent = count_exponent(self.kappa, self.params.eta, self.update_log,
                                   sq_row, sq_col)
         w, v = eig_sym(exponent)
         x_t = np.concatenate((sq_row[:, pos_i], sq_col[:, pos_j]))
         ybar = exp_margin(w, v, x_t, self.params.eta)
-        self._pending = (self._trial, i_t, j_t, pos_i, pos_j, ybar)
+        self._pending = (self._trial, i, j, ybar)
         return ybar, sign_predict(ybar, y_rand)
 
     def commit(self, y: int) -> bool:
@@ -112,34 +120,25 @@ class InductivePredictor:
             raise RuntimeError("no pending step to commit")
         if y not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {y}")
-        trial, i_t, j_t, pos_i, pos_j, ybar = self._pending
+        trial, i, j, ybar = self._pending
         self._pending = None
         if not should_update(y, ybar, self.params):
             return False
-        # a position equal to the registry size marks an identity that was
-        # new at step; only commit appends, so that still holds here
-        if pos_i == len(self.row_registry):
-            self.row_registry.append(i_t)
-        if pos_j == len(self.col_registry):
-            self.col_registry.append(j_t)
+        # only commit registers keys, so a new key gets the position step gave it
+        pos_i = self.row_registry.setdefault(i, len(self.row_registry))
+        pos_j = self.col_registry.setdefault(j, len(self.col_registry))
         self.update_log.append((trial, int(y), pos_i, pos_j))
         return True
 
 
-def run_inductive(trials, predictor: InductivePredictor, rng,
-                  row_identity=None, col_identity=None) -> Trace:
+def run_inductive(trials, predictor: InductivePredictor, rng) -> Trace:
     """Online protocol driver for the inductive predictor.
 
-    Trials carry integer indices (i, j, y); row_identity/col_identity
-    map an index to the kernel identity (defaults to the index itself,
-    which suits precomputed-Gram kernels). One threshold draw is
-    consumed per trial regardless of mode.
+    Trials carry (i, j, y) with i and j the predictor's row and column
+    keys. One threshold draw is consumed per trial regardless of mode.
     """
-    row_identity = row_identity or (lambda i: i)
-    col_identity = col_identity or (lambda j: j)
     return _run_protocol(
-        trials, predictor.params, rng,
-        lambda i, j, y_rand: predictor.step(row_identity(i), col_identity(j), y_rand),
+        trials, predictor.params, rng, predictor.step,
         lambda t, i, j, y, ybar: predictor.commit(y),
         lambda: predictor.registry_sizes,
     )
@@ -152,8 +151,10 @@ def equivalence_check(row_points, col_points, row_kernel, col_kernel,
     The transductive side matrices are the pseudoinverses of the full
     Grams over the identity universes, and the inductive r_tilde values
     are pinned to the matching squared radii, which is exactly the
-    regime where the two algorithms coincide. Returns a dict with the
-    max per-trial |ybar| gap and agreement flags.
+    regime where the two algorithms coincide. Trial indices are the
+    inductive keys and row_points[i], col_points[j] their identities, so
+    equal points at two indices stay two identities on both sides.
+    Returns a dict with the max per-trial |ybar| gap and agreement flags.
     """
     row_gram_full = gram_matrix(row_kernel, list(row_points))
     col_gram_full = gram_matrix(col_kernel, list(col_points))
@@ -165,16 +166,16 @@ def equivalence_check(row_points, col_points, row_kernel, col_kernel,
     row_emb = embedding_from_pd(m_side)
     col_emb = embedding_from_pd(n_side)
     ind_pred = InductivePredictor(row_kernel, col_kernel, params,
-                                  r_tilde_row=r_m, r_tilde_col=r_n)
+                                  r_tilde_row=r_m, r_tilde_col=r_n,
+                                  row_identity=lambda i: row_points[i],
+                                  col_identity=lambda j: col_points[j])
 
     # identical seeds give identical threshold streams: both drivers
     # consume exactly one uniform draw per trial
     trials = list(trials)
     trace_t = run_transductive(trials, row_emb, col_emb, params,
                                np.random.default_rng(seed))
-    trace_i = run_inductive(trials, ind_pred, np.random.default_rng(seed),
-                            row_identity=lambda i: row_points[i],
-                            col_identity=lambda j: col_points[j])
+    trace_i = run_inductive(trials, ind_pred, np.random.default_rng(seed))
 
     gaps = [abs(a.ybar - b.ybar) for a, b in zip(trace_t, trace_i)]
     return {

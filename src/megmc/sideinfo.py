@@ -206,10 +206,10 @@ def box_transform(x, r: float):
 class MinKernel:
     """Min kernel over raw points in [-r,r]^d.
 
-    Evaluation applies the box transform into [1,r]^d first, then takes
-    the product of coordinatewise minima. The domain supremum of K(x,x)
-    is r^d, which serves as the default r_tilde for the inductive
-    predictor.
+    The Gram of q points (scalars are 1-d) is the product of coordinatewise
+    minima after the box transform into [1,r]^d; points of a dimension other
+    than dim raise. The domain supremum of K(x,x) is r^d, which serves as
+    the default r_tilde for the inductive predictor.
     """
 
     radius: float
@@ -221,10 +221,13 @@ class MinKernel:
         if self.dim < 1:
             raise ValueError("min kernel dimension must be >= 1")
 
-    def __call__(self, x, t) -> float:
-        sx = box_transform(np.atleast_1d(x), self.radius)
-        st = box_transform(np.atleast_1d(t), self.radius)
-        return min_kernel_eval(sx, st)
+    def __call__(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=float).reshape(len(points), -1)
+        if x.shape[1] != self.dim:
+            raise ValueError(f"points have dimension {x.shape[1]}, "
+                             f"min kernel has dimension {self.dim}")
+        s = box_transform(x, self.radius)
+        return np.prod(np.minimum(s[:, None, :], s[None, :, :]), axis=2)
 
     def default_r_tilde(self) -> float:
         return self.radius ** self.dim
@@ -232,13 +235,12 @@ class MinKernel:
 
 @dataclass(frozen=True)
 class LinearKernel:
-    """Linear kernel <x, t> + epsilon * [x is the same point as t].
+    """Linear kernel: the Gram of q points is X X^T + epsilon I.
 
-    The jitter makes Grams over distinct points strictly PD. Sameness is
-    object identity, not value equality: the jitter lands on the Gram
-    diagonal (the same point object presented twice) while two distinct
-    points with coincidentally equal coordinates stay un-jittered. There
-    is no finite domain supremum in general, so r_tilde must be supplied
+    The jitter makes the Gram strictly PD. It sits on the diagonal, so
+    "the same point" means the same list position: two positions with
+    equal coordinates stay un-jittered against each other. There is no
+    finite domain supremum in general, so r_tilde must be supplied
     explicitly when this kernel feeds the inductive predictor.
     """
 
@@ -248,13 +250,9 @@ class LinearKernel:
         if not self.epsilon > 0:
             raise ValueError("linear kernel jitter must be positive")
 
-    def __call__(self, x, t) -> float:
-        same = float(x is t)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if x.shape != t.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {t.shape}")
-        return float(x @ t) + self.epsilon * same
+    def __call__(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=float).reshape(len(points), -1)
+        return x @ x.T + self.epsilon * np.eye(len(x))
 
     def default_r_tilde(self):
         return None
@@ -262,26 +260,28 @@ class LinearKernel:
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
-    """Kernel given by a fixed Gram matrix; identities are integer indices."""
+    """Kernel given by a fixed Gram: identities are integer indices into it,
+    the Gram of a list of them is the sub-Gram, and other indices raise KeyError."""
 
     gram: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "gram", symmetrize(self.gram))
 
-    def __call__(self, i, j) -> float:
-        i, j = int(i), int(j)
+    def __call__(self, points) -> np.ndarray:
+        idx = np.asarray(points, dtype=int)
         q = self.gram.shape[0]
-        if not (0 <= i < q and 0 <= j < q):
-            raise KeyError(f"identity ({i},{j}) unknown to precomputed Gram of size {q}")
-        return float(self.gram[i, j])
+        unknown = idx[(idx < 0) | (idx >= q)]
+        if unknown.size:
+            raise KeyError(f"identities {unknown.tolist()} unknown to a Gram of size {q}")
+        return self.gram[np.ix_(idx, idx)]
 
     def default_r_tilde(self) -> float:
         return float(np.max(np.diag(self.gram)))
 
 
 def gram_matrix(kernel, points) -> np.ndarray:
-    """Gram matrix K[a,b] = kernel(points[a], points[b]), PSD-checked.
+    """Gram matrix kernel(points), symmetrized and PSD-checked.
 
     A minimum eigenvalue below -tol * lambda_max (shared rank tolerance)
     means the kernel or the point list is invalid and raises.
@@ -289,12 +289,7 @@ def gram_matrix(kernel, points) -> np.ndarray:
     q = len(points)
     if q == 0:
         raise ValueError("need at least one point")
-    k = np.empty((q, q))
-    for a in range(q):
-        k[a, a] = kernel(points[a], points[a])
-        for b in range(a + 1, q):
-            k[a, b] = k[b, a] = kernel(points[a], points[b])
-    k = symmetrize(k)
+    k = symmetrize(kernel(points))
     w, _ = eig_sym(k)
     thr = q * (2.0 ** -52) * max(float(w[-1]), 0.0)
     if w[0] < -max(thr, 1e-8 * max(float(w[-1]), 1.0)):

@@ -26,6 +26,7 @@ from megmc.transductive import (
     count_exponent,
     run as run_transductive,
 )
+from tests_support import scalar_gram
 
 
 def make_params(m, n, **kw):
@@ -35,15 +36,12 @@ def make_params(m, n, **kw):
 
 
 def never_cached_ybar(predictor, rows, cols, log, pair, kernels, r_tildes, params):
-    """Independent margin computation: raw kernel loops and numpy only."""
+    """Independent margin computation: scalar kernel definitions and numpy only."""
     row_kernel, col_kernel = kernels
     rt_row, rt_col = r_tildes
 
     def gram(kernel, pts):
-        g = np.empty((len(pts), len(pts)))
-        for a in range(len(pts)):
-            for b in range(len(pts)):
-                g[a, b] = kernel(pts[a], pts[b]) if a != b else kernel(pts[a], pts[a])
+        g = scalar_gram(kernel, pts)
         return (g + g.T) / 2.0
 
     def msqrt(g):
@@ -74,8 +72,10 @@ def never_cached_ybar(predictor, rows, cols, log, pair, kernels, r_tildes, param
 def test_first_trial_formula_min_kernel():
     kern = MinKernel(radius=4.0, dim=1)
     params = make_params(3, 3, d_hat=6.0)
-    pred = InductivePredictor(kern, kern, params)
-    ybar, _ = pred.step(np.array([2.0]), np.array([-1.0]))
+    rows, cols = [np.array([2.0])], [np.array([-1.0])]
+    pred = InductivePredictor(kern, kern, params,
+                              row_identity=rows.__getitem__, col_identity=cols.__getitem__)
+    ybar, _ = pred.step(0, 0)
     # transformed diagonals are 3.25 and 2.125; r_tilde defaults to r^d = 4
     expected = (6.0 / 6.0) * (3.25 / 8.0 + 2.125 / 8.0) - 1.0
     assert ybar == pytest.approx(expected, rel=1e-12)
@@ -120,11 +120,13 @@ def test_registry_grows_only_on_update():
     assert ybar == pytest.approx(2.0, rel=1e-12)
     assert pred.commit(1) is False
     assert pred.registry_sizes == (0, 0)
+    assert pred.row_registry == {} and pred.col_registry == {}
     assert pred.update_log == []
     # a -1 label at the same margin is a sign error and must register
     pred.step(1, 2)
     assert pred.commit(-1) is True
     assert pred.registry_sizes == (1, 1)
+    assert pred.row_registry == {1: 0} and pred.col_registry == {2: 0}
     assert pred.update_log == [(2, -1, 0, 0)]
 
 
@@ -137,7 +139,8 @@ def test_duplicate_row_identity_reuses_position():
     pred.step(2, 3)
     assert pred.commit(1)
     assert pred.registry_sizes == (1, 2)
-    assert pred.row_registry == [2]
+    assert pred.row_registry == {2: 0}
+    assert list(pred.col_registry.items()) == [(0, 0), (3, 1)]
     assert pred.update_log == [(1, 1, 0, 0), (2, 1, 0, 1)]
 
 
@@ -164,16 +167,21 @@ def test_registries_are_append_only():
     rng = np.random.default_rng(0)
     kern = MinKernel(radius=3.0, dim=1)
     params = make_params(5, 5, gamma=1.0)
-    pred = InductivePredictor(kern, kern, params)
     pts = [np.array([v]) for v in rng.uniform(-3, 3, 5)]
+    pred = InductivePredictor(kern, kern, params,
+                              row_identity=pts.__getitem__, col_identity=pts.__getitem__)
     seen_rows = []
     for t in range(15):
         i, j = int(rng.integers(5)), int(rng.integers(5))
-        pred.step(pts[i], pts[j])
+        pred.step(i, j)
         pred.commit(int(rng.choice((-1, 1))))
-        # previously registered prefix never changes
-        assert pred.row_registry[: len(seen_rows)] == seen_rows
-        seen_rows = list(pred.row_registry)
+        # previously registered prefix never changes, and positions follow
+        # insertion order
+        rows = list(pred.row_registry.items())
+        assert rows[: len(seen_rows)] == seen_rows
+        assert [pos for _, pos in rows] == list(range(len(rows)))
+        seen_rows = rows
+    assert seen_rows
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +193,29 @@ def test_step_matches_never_cached_oracle():
     kern_r = MinKernel(radius=4.0, dim=2)
     kern_c = MinKernel(radius=4.0, dim=1)
     params = make_params(6, 6, eta=0.4, gamma=0.8)
-    pred = InductivePredictor(kern_r, kern_c, params)
     row_pts = [rng.uniform(-4, 4, 2) for _ in range(6)]
     col_pts = [rng.uniform(-4, 4, 1) for _ in range(6)]
+    pred = InductivePredictor(kern_r, kern_c, params, row_identity=row_pts.__getitem__,
+                              col_identity=col_pts.__getitem__)
     for t in range(12):
         i, j = int(rng.integers(6)), int(rng.integers(6))
-        rows = list(pred.row_registry)
-        cols = list(pred.col_registry)
+        row_keys = list(pred.row_registry)
+        col_keys = list(pred.col_registry)
         log = list(pred.update_log)
 
-        def position(registry, ident):
-            for pos, existing in enumerate(registry):
-                if np.array_equal(existing, ident):
-                    return pos, False
-            registry.append(ident)
-            return len(registry) - 1, True
+        def position(keys, key):
+            if key not in keys:
+                keys.append(key)
+            return keys.index(key)
 
-        pos_i, _ = position(rows, row_pts[i])
-        pos_j, _ = position(cols, col_pts[j])
+        pos_i = position(row_keys, i)
+        pos_j = position(col_keys, j)
         expected = never_cached_ybar(
-            pred, rows, cols, log, (pos_i, pos_j),
+            pred, [row_pts[k] for k in row_keys], [col_pts[k] for k in col_keys],
+            log, (pos_i, pos_j),
             (kern_r, kern_c), (pred.r_tilde_row, pred.r_tilde_col), params,
         )
-        ybar, _ = pred.step(row_pts[i], col_pts[j])
+        ybar, _ = pred.step(i, j)
         assert ybar == pytest.approx(expected, abs=1e-10)
         pred.commit(int(rng.choice((-1, 1))))
 
@@ -236,6 +244,30 @@ def test_equivalence_min_kernel_instance():
                int(rng.choice((-1, 1)))) for _ in range(20)]
     result = equivalence_check(row_pts, col_pts, kern, kern, trials, params, seed=3)
     assert result["trace_inductive"].updates > 0
+    assert result["max_gap"] <= 1e-6
+    assert result["predictions_equal"]
+    assert result["updates_equal"]
+
+
+@pytest.mark.parametrize("kind", ["linear", "min"])
+def test_equivalence_with_duplicate_features(kind):
+    # row 3 copies row 0's features but is its own identity on both sides
+    rng = np.random.default_rng(8)
+    if kind == "linear":
+        kern = LinearKernel(epsilon=1.0)
+        row_pts = [rng.standard_normal(2) for _ in range(3)]
+        col_pts = [rng.standard_normal(2) for _ in range(3)]
+    else:
+        kern = MinKernel(radius=4.0, dim=2)
+        row_pts = [rng.uniform(-4, 4, 2) for _ in range(3)]
+        col_pts = [rng.uniform(-4, 4, 2) for _ in range(3)]
+    row_pts.append(row_pts[0].copy())
+    params = make_params(4, 3, eta=0.5, gamma=0.5)
+    trials = [(int(rng.integers(4)), int(rng.integers(3)),
+               int(rng.choice((-1, 1)))) for _ in range(30)]
+    result = equivalence_check(row_pts, col_pts, kern, kern, trials, params, seed=9)
+    updated_rows = {r.i for r in result["trace_inductive"] if r.updated}
+    assert {0, 3} <= updated_rows
     assert result["max_gap"] <= 1e-6
     assert result["predictions_equal"]
     assert result["updates_equal"]
@@ -301,12 +333,15 @@ def inductive_count_case(params):
         assert pred.commit(y)
     # registry positions follow first-update order, not the indices
     factors = (
-        sqrt_psd(gram_matrix(row_kernel, pred.row_registry)) / np.sqrt(2.0 * pred.r_tilde_row),
-        sqrt_psd(gram_matrix(col_kernel, pred.col_registry)) / np.sqrt(2.0 * pred.r_tilde_col),
+        sqrt_psd(gram_matrix(row_kernel, list(pred.row_registry)))
+        / np.sqrt(2.0 * pred.r_tilde_row),
+        sqrt_psd(gram_matrix(col_kernel, list(pred.col_registry)))
+        / np.sqrt(2.0 * pred.r_tilde_col),
     )
     exponent = count_exponent(pred.kappa, params.eta, pred.update_log, *factors)
     ybar, _ = pred.step(0, 1)
-    pos_i, pos_j = pred.row_registry.index(0), pred.col_registry.index(1)
+    assert list(pred.row_registry) == [0, 1, 2] and list(pred.col_registry) == [1, 0]
+    pos_i, pos_j = pred.row_registry[0], pred.col_registry[1]
     return pred, factors, exponent, ybar, np.concatenate(
         (factors[0][:, pos_i], factors[1][:, pos_j]))
 

@@ -27,7 +27,7 @@ from megmc.sideinfo import (
     write_points,
 )
 from megmc.spectral import eig_sym, pinv_psd, quad_form
-from tests_support import path_graph
+from tests_support import path_graph, scalar_gram
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,28 @@ def test_min_kernel_class_transforms_raw_points():
     kern = MinKernel(radius=2.0, dim=2)
     x = np.array([-2.0, 0.0])
     t = np.array([2.0, 1.0])
-    expected = min_kernel_eval(box_transform(x, 2.0), box_transform(t, 2.0))
-    assert kern(x, t) == pytest.approx(expected)
+    sx, st = box_transform(x, 2.0), box_transform(t, 2.0)
+    gram = kern([x, t])
+    assert gram.shape == (2, 2)
+    assert gram[0, 1] == pytest.approx(min_kernel_eval(sx, st))
+    assert gram[1, 0] == gram[0, 1]
+    assert gram[0, 0] == pytest.approx(min_kernel_eval(sx, sx))
+    assert gram[1, 1] == pytest.approx(min_kernel_eval(st, st))
     assert kern.default_r_tilde() == pytest.approx(4.0)
+
+
+def test_min_kernel_rejects_points_of_another_dimension():
+    kern = MinKernel(radius=4.0, dim=2)
+    # 1-d points would evaluate (K(1, 2) = 2.875) against an r_tilde of r^2
+    with pytest.raises(ValueError, match="dimension 1.*dimension 2"):
+        kern([np.array([1.0]), np.array([2.0])])
+    with pytest.raises(ValueError, match="dimension 1.*dimension 2"):
+        gram_matrix(kern, [1.0, 2.0])
+    with pytest.raises(ValueError, match="dimension 3.*dimension 2"):
+        gram_matrix(kern, [np.zeros(3)])
+    # scalar points are 1-d points
+    kern1 = MinKernel(radius=4.0, dim=1)
+    assert_allclose(kern1([1.0, 2.0]), kern1([np.array([1.0]), np.array([2.0])]))
 
 
 def test_linear_kernel_jitter_on_identity_only():
@@ -243,31 +262,54 @@ def test_linear_kernel_jitter_on_identity_only():
     p1 = np.zeros(2)
     gram = gram_matrix(kern, [p0, p1])
     assert_allclose(gram, np.eye(2), atol=1e-12)
+    # sameness is list position: one point object at two positions is jittered
+    # on the diagonal only, like two equal points
+    assert_allclose(gram_matrix(kern, [p0, p0]), np.eye(2), atol=1e-12)
     assert kern.default_r_tilde() is None
 
 
 def test_precomputed_kernel():
     kern = PrecomputedKernel(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    assert kern(0, 1) == 1.0
+    assert kern([0, 1])[0, 1] == 1.0
+    assert_allclose(kern([1, 0]), [[3.0, 1.0], [1.0, 2.0]])
+    assert_allclose(kern([1]), [[3.0]])
     assert kern.default_r_tilde() == 3.0
-    with pytest.raises(KeyError):
-        kern(0, 2)
+    with pytest.raises(KeyError, match="unknown"):
+        kern([0, 2])
+    with pytest.raises(KeyError, match="unknown"):
+        kern([-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_grams_match_scalar_definitions(d):
+    rng = np.random.default_rng(20 + d)
+    pts = [rng.uniform(-3.0, 3.0, d) for _ in range(6)]
+    pts.append(pts[2].copy())  # equal coordinates at a second position
+    for kern in (MinKernel(radius=3.0, dim=d), LinearKernel(epsilon=0.7)):
+        assert_allclose(kern(pts), scalar_gram(kern, pts), rtol=1e-14, atol=1e-14)
+    base = rng.standard_normal((5, d))
+    kern = PrecomputedKernel(base @ base.T)
+    idx = [int(v) for v in rng.integers(5, size=7)]
+    assert_allclose(kern(idx), scalar_gram(kern, idx), rtol=0, atol=0)
 
 
 def test_gram_matrix_min_kernel_frozen():
-    pts = [np.array([2.0]), np.array([3.0])]
-    gram = gram_matrix(min_kernel_eval, pts)
+    # the box transform of r = 3 maps 0 to 2 and 3 to 3
+    pts = [np.array([0.0]), np.array([3.0])]
+    gram = gram_matrix(MinKernel(radius=3.0, dim=1), pts)
     assert_allclose(gram, [[2.0, 2.0], [2.0, 3.0]])
 
 
 def test_gram_matrix_single_point():
-    p = np.array([1.5, 2.0])
-    gram = gram_matrix(min_kernel_eval, [p])
+    p = np.array([-1.5, 0.0])  # transformed to (1.5, 2.0) at r = 3
+    gram = gram_matrix(MinKernel(radius=3.0, dim=2), [p])
     assert_allclose(gram, [[3.0]])
 
 
 def test_gram_matrix_rejects_indefinite():
-    fake = lambda x, t: 1.0 if x is t else 2.0
+    def fake(points):
+        return 2.0 - np.eye(len(points))  # [[1, 2], [2, 1]] has eigenvalue -1
+
     with pytest.raises(ValueError, match="not PSD"):
         gram_matrix(fake, [0, 1])
 
