@@ -14,6 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -214,9 +215,11 @@ ROW_FIELDS = ["n", "beta", "rep", "T", "mistakes", "updates", "error",
 def run_table1(config: ExperimentConfig, progress=None) -> dict:
     """Run the full grid; returns {rows, cells} and writes the out dir.
 
-    Cells aggregate to mean and sample standard deviation over the
-    replicates. Output files: rows.csv (full precision per replicate),
-    table.txt (2-decimal human table), summary.json.
+    With jobs > 1 the cells run in a worker pool. Either way, progress (if
+    given) receives each row as it is collected, in job order. Cells
+    aggregate to mean and sample standard deviation over the replicates.
+    Output files: rows.csv (full precision per replicate), table.txt
+    (2-decimal human table), summary.json.
     """
     if config.mode != "table1":
         raise ValueError("run_table1 requires a table1-mode config")
@@ -227,15 +230,13 @@ def run_table1(config: ExperimentConfig, progress=None) -> dict:
                 jobs.append((config.seed, n, beta, rep, config.p, config.k,
                              config.l, config.conservative, config.eta,
                              config.gamma))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_cell_worker, jobs))
-    else:
-        rows = []
-        for job in jobs:
-            rows.append(_cell_worker(job))
+    rows = []
+    with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
+          else nullcontext()) as pool:
+        for row in (pool.map if pool else map)(_cell_worker, jobs):
+            rows.append(row)
             if progress is not None:
-                progress(rows[-1])
+                progress(row)
     cells = {}
     for n in sorted(config.n_values):
         for beta in sorted(config.betas, reverse=True):

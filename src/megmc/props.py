@@ -46,12 +46,10 @@ class FamilyResult:
 
 def random_connected_graph(rng, n, p=0.35) -> Graph:
     """A spanning path, which keeps the graph connected, plus random edges."""
-    edges = {(i, i + 1) for i in range(n - 1)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.add((i, j))
-    return Graph(n_vertices=n, edges=tuple((i, j, 1.0) for i, j in sorted(edges)))
+    iu, ju = np.triu_indices(n, k=1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu, ju] = (rng.random(len(iu)) < p) | (ju == iu + 1)
+    return Graph(adj | adj.T)
 
 
 def _tally(name, violations):

@@ -5,93 +5,90 @@ embedding column sqrt(M^+) e_i / sqrt(2 R_M), where R_M is the largest
 diagonal entry of M^+. This module builds those embeddings from graph
 Laplacians (shifted to strict positive definiteness) or from kernel Gram
 matrices, and provides the box-separation geometry used by the min
-kernel analysis.
+kernel analysis. A graph is its symmetric weight matrix; the Laplacian
+shift and the embedding each take one eigendecomposition of their input.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .spectral import eig_sym, pinv_psd, sqrt_psd, symmetrize
+from .spectral import eig_psd, eig_sym, pinv_psd, recompose, symmetrize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected weighted graph on vertices 0..n_vertices-1.
+    """Undirected weighted graph held as its symmetric weight matrix.
 
-    Edges are (i, j, weight) with i < j, positive weight, no self loops,
-    no duplicate pairs.
+    weights[i, j] = weights[j, i] is the weight of the edge {i, j}, and 0
+    means no edge. The matrix must be square with at least one vertex,
+    finite, exactly symmetric, non-negative and zero on the diagonal; the
+    graph keeps a read-only copy.
     """
 
-    n_vertices: int
-    edges: tuple = field(default_factory=tuple)
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
+            raise ValueError(f"weights must be a square matrix with at least one vertex, "
+                             f"got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights contain non-finite entries")
+        if not np.array_equal(w, w.T):
+            raise ValueError("weights are not symmetric")
+        if (w < 0).any():
+            raise ValueError("weights contain negative entries")
+        if np.diagonal(w).any():
+            raise ValueError("weights put a self loop on the diagonal")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def from_edges(cls, n_vertices: int, edges) -> "Graph":
+        """Graph on vertices 0..n_vertices-1 from (i, j, weight) triples.
+
+        Either orientation of a pair is accepted. A self loop, a vertex out
+        of range, a pair given twice and a weight that is not positive and
+        finite raise.
+        """
+        if n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
-        canon = []
-        for e in self.edges:
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
+        w = np.zeros((n_vertices, n_vertices))
+        for e in edges:
+            i, j, wt = int(e[0]), int(e[1]), float(e[2])
             if i == j:
                 raise ValueError(f"self loop at vertex {i}")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < j < self.n_vertices):
-                raise ValueError(f"edge ({i},{j}) out of range for {self.n_vertices} vertices")
-            if (i, j) in seen:
+            i, j = min(i, j), max(i, j)
+            if not (0 <= i < j < n_vertices):
+                raise ValueError(f"edge ({i},{j}) out of range for {n_vertices} vertices")
+            if w[i, j]:
                 raise ValueError(f"duplicate edge ({i},{j})")
-            if not (w > 0 and np.isfinite(w)):
-                raise ValueError(f"edge ({i},{j}) needs a positive finite weight, got {w}")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(canon))
+            if not (wt > 0 and np.isfinite(wt)):
+                raise ValueError(f"edge ({i},{j}) needs a positive finite weight, got {wt}")
+            w[i, j] = w[j, i] = wt
+        return cls(w)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+    def n_vertices(self) -> int:
+        return self.weights.shape[0]
 
-    def edge_set(self) -> set:
-        return {(i, j) for i, j, _ in self.edges}
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n_vertices, self.n_vertices))
-        for i, j, w in self.edges:
-            a[i, j] = w
-            a[j, i] = w
-        return a
-
-    def n_components(self) -> int:
-        if not self.edges:
-            return self.n_vertices
-        rows = [i for i, _, _ in self.edges]
-        cols = [j for _, j, _ in self.edges]
-        data = [1.0] * len(self.edges)
-        adj = coo_matrix((data, (rows, cols)), shape=(self.n_vertices, self.n_vertices))
-        ncomp, _ = connected_components(adj, directed=False)
-        return int(ncomp)
-
-    def component_labels(self) -> np.ndarray:
-        rows = [i for i, _, _ in self.edges]
-        cols = [j for _, j, _ in self.edges]
-        data = [1.0] * len(self.edges)
-        adj = coo_matrix((data, (rows, cols)), shape=(self.n_vertices, self.n_vertices))
-        _, labels = connected_components(adj, directed=False)
-        return labels
+    @property
+    def edges(self) -> tuple:
+        """(i, j, weight) for every edge, i < j, in row-major order."""
+        iu, ju = np.nonzero(np.triu(self.weights))
+        return tuple((int(i), int(j), float(self.weights[i, j])) for i, j in zip(iu, ju))
 
     def is_connected(self) -> bool:
-        return self.n_components() == 1
+        return connected_components(self.weights, directed=False)[0] == 1
 
 
 def laplacian_from_graph(g: Graph) -> np.ndarray:
-    """Graph Laplacian L = D - A."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
+    """Graph Laplacian L = diag(W 1) - W."""
+    return np.diag(g.weights.sum(axis=1)) - g.weights
 
 
 def squared_radius(m_psd) -> float:
@@ -114,7 +111,8 @@ def pd_laplacian(l) -> np.ndarray:
     must be the Laplacian of a connected graph: rank m-1 with L 1 = 0.
     Rank deficiency of 2 or more (a disconnected graph) is an error; the
     synth module's connectivity repair is the sanctioned way to feed
-    this function.
+    this function. One PSD-checked eigendecomposition of L serves both
+    the null-space check and R_L, the largest diagonal entry of L^+.
     """
     l = symmetrize(l)
     m = l.shape[0]
@@ -122,7 +120,7 @@ def pd_laplacian(l) -> np.ndarray:
     scale = max(np.abs(l).max(), 1.0)
     if np.abs(l @ ones).max() > 1e-8 * scale:
         raise ValueError("input is not a graph Laplacian: rows do not sum to zero")
-    w, _ = eig_sym(l)
+    w, v, inv = eig_psd(l)
     thr = m * (2.0 ** -52) * max(float(w[-1]), 1.0)
     n_null = int(np.sum(w <= thr))
     if n_null != 1:
@@ -130,7 +128,7 @@ def pd_laplacian(l) -> np.ndarray:
             f"Laplacian has a null space of dimension {n_null}; "
             "the graph must be connected"
         )
-    r_l = squared_radius(l)
+    r_l = float(np.max(np.diag(recompose(inv, v))))
     return l + np.outer(ones, ones) / (m * m * r_l)
 
 
@@ -161,12 +159,18 @@ class SideEmbedding:
 
 
 def embedding_from_pd(m_pd) -> SideEmbedding:
-    """Embedding factor sqrt(M^+) / sqrt(2 R_M) for a PD side matrix."""
-    pinv = pinv_psd(m_pd)
-    r = float(np.max(np.diag(pinv)))
+    """Embedding factor sqrt(M^+) / sqrt(2 R_M) for a PD side matrix.
+
+    One PSD-checked eigendecomposition M = V diag(w) V^T gives both R_M,
+    the largest diagonal entry of M^+, and the factor
+    V diag(w^-1/2) V^T / sqrt(2 R_M) over the eigenvalues above the rank
+    threshold.
+    """
+    _, v, inv = eig_psd(m_pd)
+    r = float(np.max(np.diag(recompose(inv, v))))
     if not r > 0:
         raise ValueError("side matrix pseudoinverse has no positive diagonal entry")
-    factor = sqrt_psd(pinv) / np.sqrt(2.0 * r)
+    factor = recompose(np.sqrt(inv), v) / np.sqrt(2.0 * r)
     return SideEmbedding(factor=factor, squared_radius=r)
 
 
@@ -179,17 +183,6 @@ def identity_embedding(dim: int) -> SideEmbedding:
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def min_kernel_eval(x, t) -> float:
-    """Product of coordinatewise minima; points must lie in [0, r]^d."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if x.shape != t.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {t.shape}")
-    if (x < 0).any() or (t < 0).any():
-        raise ValueError("min kernel points must have nonnegative coordinates")
-    return float(np.prod(np.minimum(x, t)))
 
 
 def box_transform(x, r: float):
@@ -384,24 +377,5 @@ def read_graph(path) -> Graph:
         if len(parts) != 3:
             raise ValueError(f"malformed edge line: {ln!r}")
         edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return Graph(n_vertices=n, edges=tuple(edges))
+    return Graph.from_edges(n, edges)
 
-
-def write_points(path, points):
-    """Points CSV: one point per row, coordinates as columns."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in pts:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def read_points(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
-    if not rows:
-        raise ValueError(f"empty points file {path}")
-    return np.array(rows)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Relative rank tolerance factor: dim * 2^-52. Eigenvalues <= factor * lambda_max
-# are treated as zero by pinv_psd / sqrt_psd; configurable per call.
+# are treated as zero by eig_psd and its callers; configurable per call.
 _EPS = 2.0 ** -52
 
 
@@ -54,7 +54,8 @@ def eig_sym(a) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
-def _recompose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def recompose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetric matrix v diag(w) v^T."""
     out = (v * w[None, :]) @ v.T
     return (out + out.T) / 2.0
 
@@ -65,42 +66,38 @@ def _rank_threshold(w: np.ndarray, tol: float | None) -> float:
     return factor * scale
 
 
-def pinv_psd(a, tol: float | None = None) -> np.ndarray:
-    """Spectral pseudoinverse of a PSD matrix.
+def eig_psd(a, tol: float | None = None):
+    """Eigendecomposition of a PSD matrix with its pseudo-inverted spectrum.
 
-    Eigenvalues at or below the rank threshold map to 0, the rest to
-    their reciprocals. Eigenvalues below -threshold are rejected: the
-    input is not PSD within tolerance.
+    Returns (w, v, inv): eig_sym's ascending eigenvalues and eigenvectors,
+    and inv, which holds 1/w for eigenvalues above the rank threshold and
+    0 for those at or below it. An eigenvalue below -threshold means the
+    input is not PSD within tolerance and raises.
     """
     w, v = eig_sym(a)
     thr = _rank_threshold(w, tol)
     if w[0] < -thr:
         raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {w[0]:.3e}")
     inv = np.where(w > thr, 1.0, 0.0) / np.where(w > thr, w, 1.0)
-    return _recompose(inv, v)
+    return w, v, inv
+
+
+def pinv_psd(a, tol: float | None = None) -> np.ndarray:
+    """Spectral pseudoinverse of a PSD matrix (see eig_psd for the threshold)."""
+    _, v, inv = eig_psd(a, tol)
+    return recompose(inv, v)
 
 
 def sqrt_psd(a, tol: float | None = None) -> np.ndarray:
     """Unique PSD square root, with eigenvalues clipped at 0 first."""
-    w, v = eig_sym(a)
-    thr = _rank_threshold(w, tol)
-    if w[0] < -thr:
-        raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {w[0]:.3e}")
-    return _recompose(np.sqrt(np.clip(w, 0.0, None)), v)
+    w, v, _ = eig_psd(a, tol)
+    return recompose(np.sqrt(np.clip(w, 0.0, None)), v)
 
 
 def exp_sym(a) -> np.ndarray:
     """Spectral matrix exponential of a symmetric matrix."""
     w, v = eig_sym(a)
-    return _recompose(np.exp(w), v)
-
-
-def log_spd(a) -> np.ndarray:
-    """Spectral matrix logarithm; input must be strictly positive definite."""
-    w, v = eig_sym(a)
-    if w[0] <= 0.0:
-        raise ValueError(f"matrix logarithm needs a strictly PD input: min eigenvalue {w[0]:.3e}")
-    return _recompose(np.log(w), v)
+    return recompose(np.exp(w), v)
 
 
 def quad_form(a, u) -> float:

@@ -1,9 +1,9 @@
 """Synthetic instance generators for the experiments.
 
 Biclustered sign matrices with optional label noise, ideal clique-star
-side graphs, edge-flip perturbation with connectivity repair, same-class
-community comparators, and box-separated point clouds for the min
-kernel setting. All generators are deterministic functions of their
+side graphs and their edge-flip perturbation with connectivity repair
+(both built as weight matrices), and box-separated point clouds for the
+min kernel setting. All generators are deterministic functions of their
 seed / rng argument.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .quasidim import BlockDecomposition
 from .sideinfo import Graph, box_separation, read_graph, write_graph
@@ -164,23 +165,11 @@ def clique_star_graph(assignment) -> Graph:
     result is connected with diameter at most 4.
     """
     assignment = np.asarray(assignment, dtype=int)
-    m = len(assignment)
-    classes = np.unique(assignment)
-    members = {c: np.flatnonzero(assignment == c) for c in classes}
-    for c in classes:
-        if len(members[c]) == 0:
-            raise ValueError(f"class {c} is empty")
-    edges = []
-    for c in classes:
-        idx = members[c]
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                edges.append((int(idx[a]), int(idx[b]), 1.0))
-    center_class = classes[0]
-    central_vertex = int(members[center_class][0])
-    for c in classes[1:]:
-        edges.append((central_vertex, int(members[c][0]), 1.0))
-    return Graph(n_vertices=m, edges=tuple(edges))
+    adj = assignment[:, None] == assignment[None, :]
+    np.fill_diagonal(adj, False)
+    first = np.unique(assignment, return_index=True)[1]
+    adj[first[0], first[1:]] = adj[first[1:], first[0]] = True
+    return Graph(adj)
 
 
 def perturb_graph(g: Graph, beta: float, seed) -> Graph:
@@ -195,41 +184,20 @@ def perturb_graph(g: Graph, beta: float, seed) -> Graph:
         raise ValueError("beta must lie in [0, 0.5]")
     rng = _as_rng(seed)
     m = g.n_vertices
-    present = g.edge_set()
-    edges = set()
+    adj = g.weights > 0
     if beta > 0:
         iu, ju = np.triu_indices(m, k=1)
-        flips = rng.random(len(iu)) < beta
-        for i, j, flip in zip(iu, ju, flips):
-            pair = (int(i), int(j))
-            if (pair in present) != bool(flip):
-                edges.add(pair)
-    else:
-        edges = set(present)
-    out = Graph(n_vertices=m, edges=tuple((i, j, 1.0) for i, j in sorted(edges)))
-    while not out.is_connected():
-        labels = out.component_labels()
-        comp_ids = np.unique(labels)
-        pick = rng.choice(len(comp_ids), size=2, replace=False)
-        ca, cb = comp_ids[pick[0]], comp_ids[pick[1]]
-        va = int(rng.choice(np.flatnonzero(labels == ca)))
-        vb = int(rng.choice(np.flatnonzero(labels == cb)))
-        i, j = min(va, vb), max(va, vb)
-        out = Graph(n_vertices=m, edges=out.edges + ((i, j, 1.0),))
-    return out
-
-
-def community_instance(assignment) -> Instance:
-    """Square same-class comparator: +1 iff row and column share a class."""
-    assignment = np.asarray(assignment, dtype=int)
-    classes, normalized = np.unique(assignment, return_inverse=True)
-    k = len(classes)
-    u_star = 2 * np.eye(k, dtype=int) - np.ones((k, k), dtype=int)
-    dec = BlockDecomposition(row_classes=normalized, col_classes=normalized,
-                             u_star=u_star)
-    u = dec.matrix()
-    return Instance(u=u, labels=u.copy(), dec=dec,
-                    meta={"kind": "community", "m": len(assignment), "k": k})
+        flips = np.zeros((m, m), dtype=bool)
+        flips[iu, ju] = rng.random(len(iu)) < beta
+        adj ^= flips | flips.T
+    while True:
+        n_comp, labels = connected_components(adj, directed=False)
+        if n_comp == 1:
+            return Graph(adj)
+        ca, cb = rng.choice(n_comp, size=2, replace=False)
+        va = rng.choice(np.flatnonzero(labels == ca))
+        vb = rng.choice(np.flatnonzero(labels == cb))
+        adj[va, vb] = adj[vb, va] = True
 
 
 def box_instance(k: int, d: int, r: float, delta_min: float,

@@ -53,7 +53,7 @@ def test_synth_roundtrip(tmp_path, capsys):
     assert "20x20" in out
     inst = Instance.load(out_dir)
     assert inst.m == 20 and inst.n == 20
-    assert inst.row_graph is not None and inst.row_graph.is_connected
+    assert inst.row_graph.is_connected() and inst.col_graph.is_connected()
     assert inst.meta["beta"] == 0.25
     assert inst.meta["d_hat"] > 0
 

@@ -138,6 +138,14 @@ def test_run_table1_worker_pool_matches_sequential():
     assert [drop_seconds(r) for r in seq] == [drop_seconds(r) for r in pooled]
 
 
+def test_run_table1_worker_pool_reports_progress_in_job_order():
+    seen = []
+    config = ExperimentConfig(n_values=(20,), betas=(0.0, 0.5), reps=2, seed=2, jobs=2)
+    rows = run_table1(config, progress=seen.append)["rows"]
+    assert [(r["beta"], r["rep"]) for r in rows] == [(0.5, 0), (0.5, 1), (0.0, 0), (0.0, 1)]
+    assert seen == rows
+
+
 def test_run_table1_requires_table1_mode():
     config = ExperimentConfig(mode="transductive", n_values=(20,))
     with pytest.raises(ValueError, match="table1"):

@@ -19,11 +19,11 @@ from megmc.sideinfo import (
     delta_star_transformed,
     gram_matrix,
     laplacian_from_graph,
-    min_kernel_eval,
     pd_laplacian,
     squared_radius,
 )
 from megmc.synth import box_instance, clique_star_graph
+from tests_support import min_kernel_eval
 
 
 def trace_quad_oracle(f, s):
@@ -171,10 +171,7 @@ def test_dqd_pdlap_term_stable_under_edge_weight_scaling():
     from megmc.props import random_connected_graph
 
     g = random_connected_graph(rng, 8)
-    doubled = type(g)(
-        n_vertices=g.n_vertices,
-        edges=tuple((i, j, 2.0 * w) for i, j, w in g.edges),
-    )
+    doubled = type(g)(2.0 * g.weights)
     classes = rng.integers(0, 2, 8)
     classes[:2] = [0, 1]
     dec = BlockDecomposition(classes, classes, [[1, -1], [-1, 1]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from megmc import sideinfo, spectral
 from megmc.props import random_connected_graph
 from megmc.sideinfo import (
     BoxSeparation,
@@ -18,16 +19,13 @@ from megmc.sideinfo import (
     gram_matrix,
     identity_embedding,
     laplacian_from_graph,
-    min_kernel_eval,
     pd_laplacian,
     read_graph,
-    read_points,
     squared_radius,
     write_graph,
-    write_points,
 )
 from megmc.spectral import eig_sym, pinv_psd, quad_form
-from tests_support import path_graph, scalar_gram
+from tests_support import min_kernel_eval, path_graph, scalar_gram
 
 
 # ---------------------------------------------------------------------------
@@ -35,25 +33,75 @@ from tests_support import path_graph, scalar_gram
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, ((0, 0, 1.0),))
-    with pytest.raises(ValueError):
-        Graph(2, ((0, 1, 1.0), (1, 0, 2.0)))
-    with pytest.raises(ValueError):
-        Graph(2, ((0, 1, 0.0),))
-    with pytest.raises(ValueError):
-        Graph(2, ((0, 2, 1.0),))
+    with pytest.raises(ValueError, match="self loop"):
+        Graph.from_edges(2, ((0, 0, 1.0),))
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph.from_edges(2, ((0, 1, 1.0), (1, 0, 2.0)))
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph.from_edges(3, ((0, 1, 1.0), (0, 1, 1.0)))
+    with pytest.raises(ValueError, match="positive finite"):
+        Graph.from_edges(2, ((0, 1, 0.0),))
+    with pytest.raises(ValueError, match="positive finite"):
+        Graph.from_edges(2, ((0, 1, np.inf),))
+    with pytest.raises(ValueError, match="positive finite"):
+        Graph.from_edges(2, ((0, 1, np.nan),))
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(2, ((0, 2, 1.0),))
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(2, ((-1, 1, 1.0),))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph.from_edges(0, ())
     # edges given as (j, i) are canonicalized to i < j
-    g = Graph(3, ((2, 0, 1.5),))
+    g = Graph.from_edges(3, ((2, 0, 1.5),))
     assert g.edges == ((0, 2, 1.5),)
+    assert_allclose(g.weights, [[0.0, 0.0, 1.5], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert Graph.from_edges(1, ()).n_vertices == 1
+
+
+@pytest.mark.parametrize("weights, match", [
+    (np.zeros((0, 0)), "at least one vertex"),
+    (np.zeros(3), "square"),
+    (np.zeros((2, 3)), "square"),
+    ([[0.0, np.nan], [np.nan, 0.0]], "non-finite"),
+    ([[0.0, np.inf], [np.inf, 0.0]], "non-finite"),
+    ([[0.0, 1.0], [1.0 + 1e-15, 0.0]], "not symmetric"),
+    ([[0.0, -1.0], [-1.0, 0.0]], "negative"),
+    ([[1.0, 1.0], [1.0, 0.0]], "self loop"),
+])
+def test_graph_weights_validation(weights, match):
+    with pytest.raises(ValueError, match=match):
+        Graph(weights)
+
+
+def test_graph_weights_and_edges():
+    w = np.array([[0.0, 2.0, 0.0, 0.5],
+                  [2.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0],
+                  [0.5, 0.0, 0.0, 0.0]])
+    g = Graph(w)
+    assert g.n_vertices == 4
+    # row-major order, i < j, zero means no edge
+    assert g.edges == ((0, 1, 2.0), (0, 3, 0.5), (1, 2, 1.0))
+    assert all(type(v) is float for _, _, v in g.edges)
+    assert g.is_connected()
+    # the graph keeps a read-only copy of its matrix
+    w[0, 1] = w[1, 0] = 0.0
+    assert g.weights[0, 1] == 2.0
+    with pytest.raises(ValueError):
+        g.weights[0, 1] = 3.0
+    # a boolean adjacency gives unit weights
+    assert Graph(w > 0).edges == ((0, 3, 1.0), (1, 2, 1.0))
+    assert not Graph(w > 0).is_connected()
+    assert Graph(np.zeros((1, 1))).is_connected()
+    assert Graph.from_edges(4, g.edges).edges == g.edges
 
 
 def test_laplacian_examples():
     assert_allclose(laplacian_from_graph(path_graph(2)), [[1.0, -1.0], [-1.0, 1.0]])
-    tri = Graph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
+    tri = Graph.from_edges(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
     assert_allclose(laplacian_from_graph(tri),
                     2 * np.eye(3) - (np.ones((3, 3)) - np.eye(3)))
-    weighted = Graph(2, ((0, 1, 2.0),))
+    weighted = Graph.from_edges(2, ((0, 1, 2.0),))
     assert_allclose(laplacian_from_graph(weighted), [[2.0, -2.0], [-2.0, 2.0]])
 
 
@@ -93,10 +141,10 @@ def test_pd_laplacian_doubles_squared_radius():
 
 
 def test_pd_laplacian_rejects_disconnected():
-    empty = Graph(2, ())
+    empty = Graph.from_edges(2, ())
     with pytest.raises(ValueError, match="connected"):
         pd_laplacian(laplacian_from_graph(empty))
-    two_comp = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+    two_comp = Graph.from_edges(4, ((0, 1, 1.0), (2, 3, 1.0)))
     with pytest.raises(ValueError, match="connected"):
         pd_laplacian(laplacian_from_graph(two_comp))
 
@@ -195,6 +243,37 @@ def test_embedding_column_norm_identity():
             got = float(emb.column(i) @ emb.column(i))
             assert abs(got - pinv[i, i] / (2 * r)) <= 1e-10
         assert (emb.factor ** 2).sum(axis=0).max() <= 0.5 + 1e-10
+
+
+def _count_eig_calls(monkeypatch):
+    # rebind eig_sym wherever the build path looks it up
+    calls = []
+    original = spectral.eig_sym
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(spectral, "eig_sym", counting)
+    monkeypatch.setattr(sideinfo, "eig_sym", counting)
+    return calls
+
+
+def test_pd_laplacian_and_embedding_decompose_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    lap = laplacian_from_graph(random_connected_graph(rng, 12))
+    r_l = squared_radius(lap)
+    pinv_m = pinv_psd(pd_laplacian(lap))
+    calls = _count_eig_calls(monkeypatch)
+    m_side = pd_laplacian(lap)
+    assert calls == [(12, 12)]
+    emb = embedding_from_pd(m_side)
+    assert calls == [(12, 12), (12, 12)]
+    assert_allclose(m_side @ np.ones(12), np.ones(12) / (12 * r_l), atol=1e-12)
+    r_m = np.diag(pinv_m).max()
+    assert emb.squared_radius == r_m
+    assert_allclose(emb.factor, emb.factor.T, atol=0)
+    assert_allclose(emb.factor @ emb.factor, pinv_m / (2 * r_m), atol=1e-12)
 
 
 def test_embedding_column_out_of_range():
@@ -381,23 +460,10 @@ def test_delta_star_transformed_dominates_statement_variant():
 
 
 def test_graph_round_trip(tmp_path):
-    g = Graph(5, ((0, 1, 1.0), (1, 4, 0.25), (2, 3, 2.0)))
+    g = Graph.from_edges(5, ((0, 1, 1.0), (1, 4, 0.25), (2, 3, 2.0)))
     path = tmp_path / "graph.txt"
     write_graph(path, g)
     back = read_graph(path)
     assert back.n_vertices == 5
     assert back.edges == g.edges
 
-
-def test_points_round_trip(tmp_path):
-    pts = np.array([[0.5, -1.25], [2.0, 3.5], [-4.0, 0.0]])
-    path = tmp_path / "points.csv"
-    write_points(path, pts)
-    assert_allclose(read_points(path), pts)
-
-
-def test_points_round_trip_one_dim(tmp_path):
-    pts = np.array([[1.5]])
-    path = tmp_path / "p.csv"
-    write_points(path, pts)
-    assert_allclose(read_points(path), pts)

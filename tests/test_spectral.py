@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from megmc.spectral import (
     eig_sym,
     exp_sym,
-    log_spd,
     pinv_psd,
     quad_form,
     sqrt_psd,
@@ -137,26 +136,12 @@ def test_exp_rank_one_closed_form():
     assert_allclose(got, expected, atol=1e-10)
 
 
-def test_exp_log_round_trip():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        a = random_sym(rng, 14)
-        e = exp_sym(a)
-        again = exp_sym(log_spd(e))
-        assert np.abs(again - e).max() <= 1e-8 * max(1.0, np.abs(e).max())
-
-
 def test_exp_trace_matches_eigenvalue_sum():
     rng = np.random.default_rng(7)
     a = random_sym(rng, 20)
     w, _ = eig_sym(a)
     tr = np.trace(exp_sym(a))
     assert abs(tr - np.exp(w).sum()) <= 1e-10 * abs(tr)
-
-
-def test_log_requires_pd():
-    with pytest.raises(ValueError):
-        log_spd(np.diag([1.0, 0.0]))
 
 
 def test_quad_form():

@@ -8,10 +8,10 @@ from megmc.synth import (
     apply_label_noise,
     box_instance,
     clique_star_graph,
-    community_instance,
     gen_biclustered,
     perturb_graph,
 )
+from tests_support import reference_clique_star_edges, reference_perturb_edges, unit_weights
 
 
 def bfs_eccentricity(adj, start):
@@ -32,7 +32,7 @@ def bfs_eccentricity(adj, start):
 
 
 def diameter(g: Graph) -> int:
-    adj = g.adjacency()
+    adj = g.weights
     return max(bfs_eccentricity(adj, v) for v in range(g.n_vertices))
 
 
@@ -119,12 +119,12 @@ def test_label_noise_fraction_concentrates():
 
 def test_clique_star_single_class():
     g = clique_star_graph([0, 0, 0, 0])
-    assert g.edge_set() == {(i, j) for i in range(4) for j in range(i + 1, 4)}
+    assert g.edges == tuple((i, j, 1.0) for i in range(4) for j in range(i + 1, 4))
 
 
 def test_clique_star_two_classes_frozen():
     g = clique_star_graph([0, 0, 1, 1])
-    assert g.edge_set() == {(0, 1), (2, 3), (0, 2)}
+    assert g.edges == ((0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0))
 
 
 def test_clique_star_interclass_edges_form_star():
@@ -141,11 +141,22 @@ def test_clique_star_interclass_edges_form_star():
         assert diameter(g) <= 4
 
 
-def test_clique_star_rejects_empty_class():
-    # class indices don't have to be contiguous, but empties are impossible
-    # by construction; absent labels simply don't form cliques
+def test_clique_star_skips_absent_class_labels():
+    # class indices don't have to be contiguous; absent labels simply
+    # don't form cliques
     g = clique_star_graph([0, 2, 2])
+    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
     assert g.is_connected()
+
+
+def test_clique_star_matches_edge_list_reference():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 9, 40):
+        for k in (1, 3, 9):
+            assignment = rng.integers(0, k, m)
+            g = clique_star_graph(assignment)
+            expected = unit_weights(m, reference_clique_star_edges(assignment))
+            assert np.array_equal(g.weights, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +166,14 @@ def test_clique_star_rejects_empty_class():
 def test_perturb_beta_zero_is_identity_on_connected():
     g = clique_star_graph([0, 0, 1, 1, 2])
     out = perturb_graph(g, 0.0, seed=0)
-    assert out.edge_set() == g.edge_set()
+    assert np.array_equal(out.weights, g.weights)
 
 
 def test_perturb_repairs_disconnected_input():
-    g = Graph(6, ((0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)))
+    g = Graph.from_edges(6, ((0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)))
     out = perturb_graph(g, 0.0, seed=1)
     assert out.is_connected()
-    assert g.edge_set() <= out.edge_set()
+    assert (out.weights[g.weights > 0] == 1.0).all()
 
 
 def test_perturb_output_always_connected():
@@ -199,29 +210,35 @@ def test_perturb_deterministic_per_seed():
     assert a.edges == b.edges
 
 
-# ---------------------------------------------------------------------------
-# community instances
+def _assert_matches_reference(g, beta, seed):
+    # same weights and same generator state afterwards as the edge-list code
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = perturb_graph(g, beta, ours)
+    present = {(i, j) for i, j, _ in g.edges}
+    flipped, repairs = reference_perturb_edges(g.n_vertices, present, beta, theirs)
+    assert np.array_equal(out.weights, unit_weights(g.n_vertices, flipped + repairs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return len(repairs)
 
 
-def test_community_single_class_all_ones():
-    inst = community_instance([0, 0, 0])
-    assert_allclose(inst.u, np.ones((3, 3)))
+@pytest.mark.parametrize("beta", [0.0, 0.03125, 0.125, 0.25, 0.5])
+def test_perturb_matches_edge_list_reference(beta):
+    for seed in range(6):
+        for m in (20, 45):
+            assignment = np.random.default_rng(seed).integers(0, 9, m)
+            _assert_matches_reference(clique_star_graph(assignment), beta, seed)
 
 
-def test_community_singletons():
-    inst = community_instance([0, 1, 2])
-    assert_allclose(inst.u, 2 * np.eye(3) - np.ones((3, 3)))
-
-
-def test_community_diagonal_and_symmetry():
-    rng = np.random.default_rng(6)
-    classes = rng.integers(0, 3, 8)
-    classes[:3] = [0, 1, 2]
-    inst = community_instance(classes)
-    assert_allclose(np.diag(inst.u), np.ones(8))
-    assert_allclose(inst.u, inst.u.T)
-    same = classes[:, None] == classes[None, :]
-    assert_allclose(inst.u, np.where(same, 1, -1))
+def test_perturb_repair_matches_edge_list_reference():
+    # a sparse start leaves several components, so the repair loop draws
+    repairs = 0
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        pairs = {tuple(sorted(p)) for p in rng.choice(30, size=(8, 2)) if p[0] != p[1]}
+        g = Graph.from_edges(30, [(i, j, 1.0) for i, j in pairs])
+        for beta in (0.0, 0.01):
+            repairs += _assert_matches_reference(g, beta, seed)
+    assert repairs > 100
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,25 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from megmc.sideinfo import Graph, LinearKernel, MinKernel, box_transform, min_kernel_eval
+from megmc.sideinfo import Graph, LinearKernel, MinKernel, box_transform
 
 
 def path_graph(n, w=1.0):
-    return Graph(n_vertices=n, edges=tuple((i, i + 1, w) for i in range(n - 1)))
+    return Graph.from_edges(n, [(i, i + 1, w) for i in range(n - 1)])
+
+
+def min_kernel_eval(x, t) -> float:
+    """Product of coordinatewise minima; points must lie in [0, r]^d."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if x.shape != t.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {t.shape}")
+    if (x < 0).any() or (t < 0).any():
+        raise ValueError("min kernel points must have nonnegative coordinates")
+    return float(np.prod(np.minimum(x, t)))
 
 
 def scalar_gram(kernel, points):
@@ -29,3 +42,69 @@ def scalar_gram(kernel, points):
     q = len(points)
     return np.array([[entry(a, b, points[a], points[b]) for b in range(q)]
                      for a in range(q)])
+
+
+# ---------------------------------------------------------------------------
+# edge-list graph producers, frozen as the reference for the array-based
+# synth.clique_star_graph and synth.perturb_graph (same draws, same order)
+
+
+def reference_clique_star_edges(assignment) -> list:
+    """Unit-weight clique per class plus the star edges, built pair by pair."""
+    assignment = np.asarray(assignment, dtype=int)
+    classes = np.unique(assignment)
+    members = {c: np.flatnonzero(assignment == c) for c in classes}
+    edges = []
+    for c in classes:
+        idx = members[c]
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                edges.append((int(idx[a]), int(idx[b])))
+    central_vertex = int(members[classes[0]][0])
+    for c in classes[1:]:
+        edges.append((central_vertex, int(members[c][0])))
+    return edges
+
+
+def _edge_components(m, edges):
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    adj = coo_matrix(([1.0] * len(edges), (rows, cols)), shape=(m, m))
+    return connected_components(adj, directed=False)
+
+
+def reference_perturb_edges(m, present, beta, rng) -> tuple:
+    """Per-pair edge flips, then connectivity repair on an edge list.
+
+    present is a set of (i, j) pairs with i < j. Returns the sorted flipped
+    edges and the repair edges in the order they were drawn.
+    """
+    edges = set()
+    if beta > 0:
+        iu, ju = np.triu_indices(m, k=1)
+        flips = rng.random(len(iu)) < beta
+        for i, j, flip in zip(iu, ju, flips):
+            pair = (int(i), int(j))
+            if (pair in present) != bool(flip):
+                edges.add(pair)
+    else:
+        edges = set(present)
+    flipped = sorted(edges)
+    repairs = []
+    while True:
+        n_comp, labels = _edge_components(m, flipped + repairs)
+        if n_comp == 1:
+            return flipped, repairs
+        comp_ids = np.unique(labels)
+        pick = rng.choice(len(comp_ids), size=2, replace=False)
+        ca, cb = comp_ids[pick[0]], comp_ids[pick[1]]
+        va = int(rng.choice(np.flatnonzero(labels == ca)))
+        vb = int(rng.choice(np.flatnonzero(labels == cb)))
+        repairs.append((min(va, vb), max(va, vb)))
+
+
+def unit_weights(m, edges) -> np.ndarray:
+    w = np.zeros((m, m))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0
+    return w
