@@ -4,7 +4,10 @@ The benchmark predicts every entry of a noisy biclustered square matrix
 once, in uniformly random order, with clique-star graph side information
 degraded by edge-flip noise. Replicate streams are derived from
 (master seed, n, beta, replicate) so any cell can be recomputed alone
-and grid cells can run in a worker pool without sharing state.
+and grid cells can run in a worker pool without sharing state. A grid
+cell (`table1_cell`) and a single run (`run_single`) share one set-up
+and run path, `_run_cell`; they differ only in the eta scale and in
+which learner runs.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ class ExperimentConfig:
     def __post_init__(self):
         self.n_values = tuple(int(v) for v in np.atleast_1d(self.n_values))
         self.betas = tuple(float(b) for b in np.atleast_1d(self.betas))
-        if self.mode not in ("table1", "transductive", "inductive", "equivalence"):
+        if self.mode not in ("table1", "transductive", "inductive"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.n_values or not self.betas:
+            raise ValueError("n_values and betas must be non-empty")
         if not 0 <= self.p < 1:
             raise ValueError("p must lie in [0, 1)")
         if self.reps < 1:
@@ -157,43 +162,63 @@ def build_cell_instance(master_seed: int, n: int, beta: float, rep: int,
 BENCHMARK_ETA_SCALE = 2.0
 
 
-def table1_cell(master_seed: int, n: int, beta: float, rep: int,
-                p: float = 0.10, k: int = 9, l: int = 9,
-                conservative: bool = False,
-                eta: float | None = None, gamma: float | None = None) -> dict:
-    """One replicate of one grid cell; fully determined by its arguments."""
-    start = time.perf_counter()
+def _run_cell(master_seed: int, n: int, beta: float, rep: int, p: float,
+              k: int, l: int, conservative: bool, eta: float | None,
+              gamma: float | None, eta_scale: float, inductive: bool = False):
+    """Set up one replicate and run one learner on it.
+
+    Builds the replicate, derives gamma and eta (eta_scale times the
+    horizon-tuned rate unless eta is given), draws the trial order and
+    runs the transductive or the inductive learner. Returns the trace and
+    the fields that grid rows and single-run summaries share.
+    """
     inst, m_side, n_side, d_hat, order_r, y_r = build_cell_instance(
         master_seed, n, beta, rep, p, k, l
     )
     t_horizon = n * n
-    gamma_val = gamma if gamma is not None else 1.0 / maxnorm_bound_biclustered(k, l)
-    eta_val = (eta if eta is not None
-               else BENCHMARK_ETA_SCALE * derive_eta(d_hat, n, n, t_horizon))
+    gamma = gamma if gamma is not None else 1.0 / maxnorm_bound_biclustered(k, l)
+    eta = eta if eta is not None else eta_scale * derive_eta(d_hat, n, n, t_horizon)
     params = TransductiveParams(
-        eta=eta_val, gamma=gamma_val, d_hat=d_hat, m=n, n=n,
+        eta=eta, gamma=gamma, d_hat=d_hat, m=n, n=n,
         non_conservative=not conservative,
     )
     trials = inst.trials(order_r)
-    trace = run_transductive(
-        trials, embedding_from_pd(m_side), embedding_from_pd(n_side), params, y_r
-    )
-    flips = int(inst.noise_mask.sum()) if inst.noise_mask is not None else 0
-    return {
+    if inductive:
+        pred = InductivePredictor(PrecomputedKernel(pinv_psd(m_side)),
+                                  PrecomputedKernel(pinv_psd(n_side)), params)
+        trace = run_inductive(trials, pred, y_r)
+    else:
+        trace = run_transductive(
+            trials, embedding_from_pd(m_side), embedding_from_pd(n_side), params, y_r
+        )
+    return trace, {
         "n": n,
         "beta": beta,
-        "rep": rep,
         "T": t_horizon,
         "mistakes": trace.mistakes,
         "updates": trace.updates,
-        "error": trace.mistakes / t_horizon,
-        "noise_flips": flips,
+        "noise_flips": int(inst.noise_mask.sum()) if inst.noise_mask is not None else 0,
         "d_hat": d_hat,
-        "eta": eta_val,
-        "gamma": gamma_val,
-        "regret_bound": regret_bound(d_hat, gamma_val, n, n, t_horizon),
-        "seconds": time.perf_counter() - start,
+        "eta": eta,
+        "gamma": gamma,
+        "regret_bound": regret_bound(d_hat, gamma, n, n, t_horizon),
     }
+
+
+def table1_cell(master_seed: int, n: int, beta: float, rep: int,
+                p: float = 0.10, k: int = 9, l: int = 9,
+                conservative: bool = False,
+                eta: float | None = None, gamma: float | None = None) -> dict:
+    """One replicate of one grid cell; fully determined by its arguments.
+
+    The transductive learner runs at BENCHMARK_ETA_SCALE times the
+    horizon-tuned rate unless eta is given. The row holds the ROW_FIELDS.
+    """
+    start = time.perf_counter()
+    trace, fields = _run_cell(master_seed, n, beta, rep, p, k, l, conservative,
+                              eta, gamma, BENCHMARK_ETA_SCALE)
+    return {**fields, "rep": rep, "error": trace.mistakes / fields["T"],
+            "seconds": time.perf_counter() - start}
 
 
 def realizable_bound(d_hat: float, gamma: float, m: int, n: int) -> float:
@@ -202,10 +227,6 @@ def realizable_bound(d_hat: float, gamma: float, m: int, n: int) -> float:
 
 def regret_bound(d_hat: float, gamma: float, m: int, n: int, t: float) -> float:
     return 4.0 * math.sqrt(2.0 * (d_hat / gamma**2) * math.log(m + n) * t)
-
-
-def _cell_worker(args):
-    return table1_cell(*args)
 
 
 ROW_FIELDS = ["n", "beta", "rep", "T", "mistakes", "updates", "error",
@@ -233,7 +254,7 @@ def run_table1(config: ExperimentConfig, progress=None) -> dict:
     rows = []
     with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
           else nullcontext()) as pool:
-        for row in (pool.map if pool else map)(_cell_worker, jobs):
+        for row in (pool.map if pool else map)(table1_cell, *zip(*jobs)):
             rows.append(row)
             if progress is not None:
                 progress(row)
@@ -304,59 +325,31 @@ def read_rows_csv(path) -> list[dict]:
 def run_single(config: ExperimentConfig) -> dict:
     """One full run (transductive or inductive) with bound reporting.
 
-    Uses the first n and beta of the config. Writes trace.csv and
-    summary.json when out is set.
+    Runs replicate 0 of the first n and beta of the config through the
+    same path as a grid cell, at the horizon-tuned eta (scale 1) unless
+    the config sets eta. Writes trace.csv and summary.json when out is set.
     """
     if config.mode not in ("transductive", "inductive"):
         raise ValueError("run_single requires mode transductive or inductive")
-    n = config.n_values[0]
-    beta = config.betas[0]
-    inst, m_side, n_side, d_hat, order_r, y_r = build_cell_instance(
-        config.seed, n, beta, rep=0, p=config.p, k=config.k, l=config.l
+    trace, fields = _run_cell(
+        config.seed, config.n_values[0], config.betas[0], 0, config.p, config.k,
+        config.l, config.conservative, config.eta, config.gamma, 1.0,
+        inductive=config.mode == "inductive",
     )
-    t_horizon = n * n
-    gamma_val = (config.gamma if config.gamma is not None
-                 else 1.0 / maxnorm_bound_biclustered(config.k, config.l))
-    eta_val = (config.eta if config.eta is not None
-               else derive_eta(d_hat, n, n, t_horizon))
-    params = TransductiveParams(
-        eta=eta_val, gamma=gamma_val, d_hat=d_hat, m=n, n=n,
-        non_conservative=not config.conservative,
-    )
-    trials = inst.trials(order_r)
-    if config.mode == "transductive":
-        trace = run_transductive(
-            trials, embedding_from_pd(m_side), embedding_from_pd(n_side),
-            params, y_r,
-        )
-    else:
-        row_kernel = PrecomputedKernel(pinv_psd(m_side))
-        col_kernel = PrecomputedKernel(pinv_psd(n_side))
-        pred = InductivePredictor(row_kernel, col_kernel, params)
-        trace = run_inductive(trials, pred, y_r)
-    flips = int(inst.noise_mask.sum()) if inst.noise_mask is not None else 0
-    r_bound = realizable_bound(d_hat, gamma_val, n, n)
+    n = fields["n"]
+    r_bound = realizable_bound(fields["d_hat"], fields["gamma"], n, n)
     summary = {
+        **fields,
         "mode": config.mode,
-        "n": n,
-        "beta": beta,
         "p": config.p,
         "k": config.k,
         "l": config.l,
         "seed": config.seed,
         "conservative": config.conservative,
-        "T": len(trace),
-        "mistakes": trace.mistakes,
-        "updates": trace.updates,
         "mistake_rate": trace.summary()["mistake_rate"],
-        "noise_flips": flips,
-        "d_hat": d_hat,
-        "eta": eta_val,
-        "gamma": gamma_val,
         "realizable_bound": r_bound,
         "realizable_satisfied": trace.mistakes <= r_bound,
-        "regret_bound": regret_bound(d_hat, gamma_val, n, n, t_horizon),
-        "mistakes_minus_noise": trace.mistakes - flips,
+        "mistakes_minus_noise": trace.mistakes - fields["noise_flips"],
     }
     if config.out:
         out = Path(config.out)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sideinfo import embedding_from_pd, gram_matrix, squared_radius
+from .sideinfo import embedding_from_pd, gram_matrix
 from .spectral import eig_sym, pinv_psd, sqrt_psd
 from .transductive import (
     Trace,
@@ -158,15 +158,11 @@ def equivalence_check(row_points, col_points, row_kernel, col_kernel,
     """
     row_gram_full = gram_matrix(row_kernel, list(row_points))
     col_gram_full = gram_matrix(col_kernel, list(col_points))
-    m_side = pinv_psd(row_gram_full)
-    n_side = pinv_psd(col_gram_full)
-    r_m = squared_radius(m_side)
-    r_n = squared_radius(n_side)
-
-    row_emb = embedding_from_pd(m_side)
-    col_emb = embedding_from_pd(n_side)
+    row_emb = embedding_from_pd(pinv_psd(row_gram_full))
+    col_emb = embedding_from_pd(pinv_psd(col_gram_full))
     ind_pred = InductivePredictor(row_kernel, col_kernel, params,
-                                  r_tilde_row=r_m, r_tilde_col=r_n,
+                                  r_tilde_row=row_emb.squared_radius,
+                                  r_tilde_col=col_emb.squared_radius,
                                   row_identity=lambda i: row_points[i],
                                   col_identity=lambda j: col_points[j])
 

@@ -53,14 +53,13 @@ class Instance:
         return self.u.shape[1]
 
     def trials(self, rng) -> list:
-        """All m*n entries in uniform random order without replacement."""
-        rng = _as_rng(rng)
-        order = rng.permutation(self.m * self.n)
-        out = []
-        for flat in order:
-            i, j = int(flat) // self.n, int(flat) % self.n
-            out.append((i, j, int(self.labels[i, j])))
-        return out
+        """All m*n entries in uniform random order without replacement.
+
+        One permutation of the row-major flat indices gives the order;
+        returns (i, j, y) triples of Python ints.
+        """
+        i, j = np.divmod(_as_rng(rng).permutation(self.m * self.n), self.n)
+        return list(zip(i.tolist(), j.tolist(), self.labels[i, j].tolist()))
 
     def save(self, directory):
         """Write manifest.json, labels.csv, u.csv and any graph files."""

@@ -36,6 +36,9 @@ def test_config_defaults():
 
 @pytest.mark.parametrize("kwargs", [
     {"mode": "bogus"},
+    {"mode": "equivalence"},
+    {"n_values": ()},
+    {"betas": ()},
     {"n_values": (37,)},
     {"betas": (0.3,)},
     {"n_values": (120,)},                  # above desk cap without big_n
@@ -187,6 +190,18 @@ def test_run_single_inductive_matches_transductive_counts(tmp_path):
     gaps = [abs(a.ybar - b.ybar)
             for a, b in zip(res_t["trace"], res_i["trace"])]
     assert max(gaps) < 1e-6
+
+
+def test_run_single_shares_the_grid_cell_path():
+    # at the grid cell's eta, a transductive single run is replicate 0 of
+    # that cell: the same instance, trial order, learner and counts
+    row = table1_cell(5, 20, 0.5, 0)
+    summary = run_single(ExperimentConfig(mode="transductive", n_values=(20,),
+                                          betas=(0.5,), seed=5,
+                                          eta=row["eta"]))["summary"]
+    for key in ("mistakes", "updates", "d_hat", "noise_flips", "eta", "gamma",
+                "regret_bound"):
+        assert summary[key] == row[key], key
 
 
 def test_run_single_rejects_table1_mode():

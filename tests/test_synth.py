@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from megmc.experiments import build_cell_instance
 from megmc.sideinfo import Graph, box_separation
 from megmc.synth import (
     Instance,
@@ -11,7 +12,12 @@ from megmc.synth import (
     gen_biclustered,
     perturb_graph,
 )
-from tests_support import reference_clique_star_edges, reference_perturb_edges, unit_weights
+from tests_support import (
+    reference_clique_star_edges,
+    reference_perturb_edges,
+    reference_trials,
+    unit_weights,
+)
 
 
 def bfs_eccentricity(adj, start):
@@ -293,6 +299,23 @@ def test_trials_cover_every_entry_once():
         assert y == inst.labels[i, j]
     assert trials == inst.trials(rng=3)
     assert trials != inst.trials(rng=4)
+
+
+@pytest.mark.parametrize("make", [
+    # square noisy benchmark instance, and a non-square one (m != n)
+    lambda: build_cell_instance(3, 40, 0.5, 0, p=0.1, k=9, l=9)[0],
+    lambda: gen_biclustered(m=13, n=7, k=3, l=2, seed=5),
+], ids=["benchmark_40", "biclustered_13x7"])
+@pytest.mark.parametrize("seed", [0, 1, 17, 31])
+def test_trials_match_per_entry_reference(make, seed):
+    inst = make()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    trials = inst.trials(rng)
+    expected = reference_trials(inst, ref_rng)
+    assert trials == expected
+    assert all(type(v) is int for triple in trials for v in triple)
+    # the same single draw: both generators are left in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def full_pipeline_instance(seed):

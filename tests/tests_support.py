@@ -108,3 +108,18 @@ def unit_weights(m, edges) -> np.ndarray:
     for i, j in edges:
         w[i, j] = w[j, i] = 1.0
     return w
+
+
+# ---------------------------------------------------------------------------
+# per-entry trial order, frozen as the reference for the array-based
+# synth.Instance.trials (same single permutation draw)
+
+
+def reference_trials(instance, rng) -> list:
+    """All m*n entries as (i, j, y) triples, built one flat index at a time."""
+    order = rng.permutation(instance.m * instance.n)
+    out = []
+    for flat in order:
+        i, j = int(flat) // instance.n, int(flat) % instance.n
+        out.append((i, j, int(instance.labels[i, j])))
+    return out
