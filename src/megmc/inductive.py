@@ -5,19 +5,24 @@ identities revealed online. Trials name rows and columns by keys, which
 the predictor's identity maps turn into kernel identities. Keys from
 update trials enter append-only registries (dicts from key to position),
 and the update log records each update as (trial, y_s, row position,
-col position) over them. Each trial forms the Gram over the registered
-identities (plus the current pair) with one kernel call per side, takes
-PSD square roots, and forms the log-state exponent
+col position) over them. Between trials the predictor keeps the side
+factors sqrt(K)/sqrt(2 r_tilde) of the registered Grams, the log-state
+exponent over them
 
     log(W) = log(d_hat/(m+n)) I + sum_s eta y_s x(s) x(s)^T
 
-from the update log with transductive.count_exponent. Nothing else is
-kept between trials: the per-trial cost is three eigendecompositions,
-cubic in the registry sizes. When the full identity universes are
-finite and the transductive side matrices are the pseudoinverses of the
-full Grams (with matched r_tilde values), the two predictors produce
-identical outputs; equivalence_check drives both on shared trial and
-threshold streams and reports the largest prediction gap.
+and that exponent's eigendecomposition. A trial whose keys are
+registered reads its margin off the kept state, eigendecomposing only if
+an update has landed since the last decomposition. A new key costs one
+kernel call, the PSD square root of its side's Gram with the key
+appended, and an exponent rebuilt from the update log with
+transductive.count_exponent. An update adopts the trial's factors and
+adds its rank-one term; a trial without one leaves the kept state as it
+was. When the full identity universes are finite and the transductive
+side matrices are the pseudoinverses of the full Grams (with matched
+r_tilde values), the two predictors produce identical outputs;
+equivalence_check drives both on shared trial and threshold streams and
+reports the largest prediction gap.
 """
 
 from __future__ import annotations
@@ -88,6 +93,11 @@ class InductivePredictor:
         self.update_log: list[tuple[int, int, int, int]] = []
         self._trial = 0
         self._pending = None
+        # side factors over the registries, the exponent built on them and
+        # its eigendecomposition (None until needed after an update)
+        self._sq_row = self._sq_col = np.zeros((0, 0))
+        self._exponent = np.zeros((0, 0))
+        self._eig = None
 
     @property
     def registry_sizes(self) -> tuple[int, int]:
@@ -102,25 +112,34 @@ class InductivePredictor:
         if self._pending is not None:
             raise RuntimeError("previous step was never committed")
         self._trial += 1
-        sq_row, pos_i = _side_factor(self.row_kernel, self.row_identity,
-                                     self.row_registry, i, self.r_tilde_row)
-        sq_col, pos_j = _side_factor(self.col_kernel, self.col_identity,
-                                     self.col_registry, j, self.r_tilde_col)
-        exponent = count_exponent(self.kappa, self.params.eta, self.update_log,
-                                  sq_row, sq_col)
-        w, v = eig_sym(exponent)
+        sq_row, pos_i = ((self._sq_row, self.row_registry[i]) if i in self.row_registry
+                         else _side_factor(self.row_kernel, self.row_identity,
+                                           self.row_registry, i, self.r_tilde_row))
+        sq_col, pos_j = ((self._sq_col, self.col_registry[j]) if j in self.col_registry
+                         else _side_factor(self.col_kernel, self.col_identity,
+                                           self.col_registry, j, self.r_tilde_col))
+        if i in self.row_registry and j in self.col_registry:
+            exponent = self._exponent
+            if self._eig is None:
+                self._eig = eig_sym(exponent)
+            w, v = self._eig
+        else:
+            exponent = count_exponent(self.kappa, self.params.eta, self.update_log,
+                                      sq_row, sq_col)
+            w, v = eig_sym(exponent)
         x_t = np.concatenate((sq_row[:, pos_i], sq_col[:, pos_j]))
         ybar = exp_margin(w, v, x_t, self.params.eta)
-        self._pending = (self._trial, i, j, ybar)
+        self._pending = (self._trial, i, j, ybar, sq_row, sq_col, exponent, x_t)
         return ybar, sign_predict(ybar, y_rand)
 
     def commit(self, y: int) -> bool:
-        """Settle the pending trial: registry/log growth on margin violation."""
+        """Settle the pending trial: on a margin violation the registries and
+        log grow and the kept state adopts the trial's factors and update."""
         if self._pending is None:
             raise RuntimeError("no pending step to commit")
         if y not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {y}")
-        trial, i, j, ybar = self._pending
+        trial, i, j, ybar, sq_row, sq_col, exponent, x_t = self._pending
         self._pending = None
         if not should_update(y, ybar, self.params):
             return False
@@ -128,6 +147,9 @@ class InductivePredictor:
         pos_i = self.row_registry.setdefault(i, len(self.row_registry))
         pos_j = self.col_registry.setdefault(j, len(self.col_registry))
         self.update_log.append((trial, int(y), pos_i, pos_j))
+        self._sq_row, self._sq_col = sq_row, sq_col
+        self._exponent = exponent + (self.params.eta * y) * np.outer(x_t, x_t)
+        self._eig = None
         return True
 
 

@@ -8,20 +8,11 @@ decomposition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Relative rank tolerance factor: dim * 2^-52. Eigenvalues <= factor * lambda_max
 # are treated as zero by eig_psd and its callers; configurable per call.
 _EPS = 2.0 ** -52
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues in ascending order and orthonormal eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def symmetrize(a) -> np.ndarray:
@@ -36,12 +27,13 @@ def symmetrize(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def eig_sym(a) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix.
+def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a symmetric matrix.
 
-    Eigenvalues come back ascending. Eigenvector signs are fixed so the
-    first component of non-negligible magnitude is positive, which makes
-    decompositions reproducible across runs on the same build.
+    Eigenvalues w come back ascending, eigenvectors as the columns of v.
+    Eigenvector signs are fixed so the first component of non-negligible
+    magnitude is positive, which makes decompositions reproducible across
+    runs on the same build.
     """
     s = symmetrize(a)
     w, v = np.linalg.eigh(s)
@@ -51,7 +43,7 @@ def eig_sym(a) -> SpectralDecomposition:
     first_nz = (mags > thresholds[None, :]).argmax(axis=0)
     signs = v[first_nz, np.arange(v.shape[1])]
     v = v * np.where(signs < 0.0, -1.0, 1.0)[None, :]
-    return SpectralDecomposition(w, v)
+    return w, v
 
 
 def recompose(w: np.ndarray, v: np.ndarray) -> np.ndarray:

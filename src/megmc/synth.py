@@ -206,7 +206,7 @@ def box_instance(k: int, d: int, r: float, delta_min: float,
     Returns (points, assignment, boxes) where assignment is the m x k
     one-hot matrix mapping each point to its box. Boxes are rejection
     sampled until every pair is at least delta_min apart in l-infinity
-    box distance; an infeasible request raises after max_attempts.
+    box distance; an infeasible request raises ValueError after max_attempts.
     """
     if not r >= 2:
         raise ValueError("domain radius must be >= 2")
@@ -231,7 +231,7 @@ def box_instance(k: int, d: int, r: float, delta_min: float,
             boxes = candidate
             break
     if boxes is None:
-        raise RuntimeError(
+        raise ValueError(
             f"could not place {k} boxes with separation >= {delta_min} "
             f"in [-{r},{r}]^{d} after {max_attempts} attempts"
         )

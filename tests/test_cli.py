@@ -1,9 +1,11 @@
 """CLI: subcommand behavior, exit codes, config file merging."""
 
 import json
+from functools import partial
 
 import pytest
 
+from megmc import props, synth
 from megmc.cli import main
 from megmc.synth import Instance
 
@@ -128,6 +130,14 @@ def test_overflowing_eta_exits_1(capsys, mode):
     assert code == 1
     assert out == ""
     assert "eta=100000.0 is too large" in err
+
+
+def test_unplaceable_boxes_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(props, "box_instance", partial(synth.box_instance, max_attempts=0))
+    code, out, err = run_cli(capsys, ["props"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: could not place")
 
 
 def test_usage_error_exit_1(capsys):

@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from megmc import experiments
 from megmc.inductive import (
     InductivePredictor,
     equivalence_check,
@@ -26,7 +30,7 @@ from megmc.transductive import (
     count_exponent,
     run as run_transductive,
 )
-from tests_support import scalar_gram
+from tests_support import RebuildingInductivePredictor, scalar_gram
 
 
 def make_params(m, n, **kw):
@@ -221,6 +225,72 @@ def test_step_matches_never_cached_oracle():
 
 
 # ---------------------------------------------------------------------------
+# kept state against the rebuild-every-trial reference
+
+
+def assert_same_state(pred, ref):
+    assert pred.update_log == ref.update_log
+    assert list(pred.row_registry.items()) == list(ref.row_registry.items())
+    assert list(pred.col_registry.items()) == list(ref.col_registry.items())
+
+
+def test_kept_state_matches_rebuilding_reference_on_scripted_stream():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((5, 5))
+    row_kernel = PrecomputedKernel(a @ a.T + 0.5 * np.eye(5))
+    b = rng.standard_normal((4, 4))
+    col_kernel = PrecomputedKernel(b @ b.T + 0.5 * np.eye(4))
+    params = make_params(5, 4, eta=0.6, gamma=0.05)
+    pred = InductivePredictor(row_kernel, col_kernel, params)
+    ref = RebuildingInductivePredictor(row_kernel, col_kernel, params)
+    # (row, col, update?): both keys new; a repeated registered pair after an
+    # update; one key new with no update; the same pair with no update in
+    # between; a new key that updates; more registered and new pairs
+    script = [(0, 0, True), (0, 0, False), (1, 0, False), (0, 0, False),
+              (1, 0, True), (0, 0, True), (1, 0, False), (2, 3, True),
+              (0, 3, True), (4, 1, False), (0, 3, False), (2, 0, True),
+              (1, 3, False), (1, 3, False)]
+    margins = []
+    for i, j, update in script:
+        ybar_ref, yhat_ref = ref.step(i, j)
+        ybar, yhat = pred.step(i, j)
+        assert abs(ybar - ybar_ref) <= 1e-12
+        assert yhat == yhat_ref
+        if not update:
+            assert abs(ybar_ref) >= params.gamma  # a correct label skips the update
+        sign = 1 if ybar_ref > 0 else -1
+        y = -sign if update else sign
+        assert ref.commit(y) is update
+        assert pred.commit(y) is update
+        assert_same_state(pred, ref)
+        margins.append(ybar)
+    # the new-key step (1, 0) between them left the kept state as it was
+    assert margins[3] == margins[1]
+
+
+def run_cell_with(monkeypatch, predictor_class):
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(predictor_class(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(experiments, "InductivePredictor", make)
+    config = experiments.ExperimentConfig(mode="inductive", n_values=(20,),
+                                          betas=(0.5,), seed=1)
+    return experiments.run_single(config)["trace"], made[0]
+
+
+def test_kept_state_matches_rebuilding_reference_on_benchmark_cell(monkeypatch):
+    trace, pred = run_cell_with(monkeypatch, InductivePredictor)
+    trace_ref, ref = run_cell_with(monkeypatch, RebuildingInductivePredictor)
+    assert 0 < trace.updates < len(trace) == 400
+    assert max(abs(a.ybar - b.ybar) for a, b in zip(trace, trace_ref)) <= 1e-12
+    assert [(a.yhat, a.updated) for a in trace] == [(b.yhat, b.updated) for b in trace_ref]
+    assert_same_state(pred, ref)
+
+
+# ---------------------------------------------------------------------------
 # equivalence with the transductive predictor
 
 
@@ -292,6 +362,66 @@ def test_equivalence_linear_kernel_reduces_to_identity_sides():
                                  np.random.default_rng(5))
     for rec_i, rec_r in zip(result["trace_inductive"], reference):
         assert rec_i.ybar == pytest.approx(rec_r.ybar, abs=1e-8)
+
+
+@st.composite
+def equivalence_instances(draw):
+    """A small equivalence_check instance; two row keys may share one point."""
+    kind = draw(st.sampled_from(["min", "linear"]))
+    m, n, d = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    point = st.lists(coord, min_size=d, max_size=d).map(np.array)
+    row_pts = draw(st.lists(point, min_size=m, max_size=m))
+    col_pts = draw(st.lists(point, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        row_pts[-1] = row_pts[0].copy()  # with the min kernel the Gram is singular
+    if kind == "min":
+        kernel = MinKernel(radius=3.0, dim=d)
+        # distinct points closer than this make the Gram nearly singular, where
+        # equivalence_check itself loses precision (see the near-duplicate test)
+        assume(all(np.array_equal(a, b) or np.abs(a - b).max() >= 1e-3
+                   for pts in (row_pts, col_pts) for a, b in combinations(pts, 2)))
+    else:
+        kernel = LinearKernel(epsilon=draw(st.floats(0.5, 2.0)))
+    params = make_params(m, n, eta=draw(st.floats(0.05, 3.0)),
+                         gamma=draw(st.floats(0.05, 1.0)),
+                         non_conservative=draw(st.booleans()))
+    trials = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                                     st.sampled_from([-1, 1])),
+                           min_size=1, max_size=20))
+    return row_pts, col_pts, kernel, trials, params
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(equivalence_instances(), st.integers(0, 2**31 - 1))
+def test_equivalence_on_generated_instances(instance, seed):
+    row_pts, col_pts, kernel, trials, params = instance
+    result = equivalence_check(row_pts, col_pts, kernel, kernel, trials, params, seed)
+    threshold = params.gamma if params.non_conservative else 0.0
+    for a, b in zip(result["trace_transductive"], result["trace_inductive"]):
+        assert abs(a.ybar - b.ybar) <= 1e-6
+        # equal points can put a margin exactly on a decision threshold in
+        # exact arithmetic (all points at one spot give ybar = 0), where
+        # rounding alone picks the side; decisions must agree everywhere else
+        if a.yhat != b.yhat:
+            assert abs(a.ybar - a.y_rand) <= 1e-9
+        if a.updated != b.updated:
+            assert abs(a.y * a.ybar - threshold) <= 1e-9
+            break  # the two states part at a tied update
+
+
+@pytest.mark.xfail(strict=True, reason="equivalence_check passes an ill-conditioned "
+                   "Gram through two pseudoinverses on the transductive side")
+def test_equivalence_with_near_duplicate_min_kernel_points():
+    # two column points 1e-10 apart: cond(K) near 1e10 costs the transductive
+    # side about cond(K) * 2^-52 of the Gram, and the runs part after one trial
+    kern = MinKernel(radius=3.0, dim=1)
+    params = make_params(2, 2, eta=1.0, gamma=1.0, non_conservative=False)
+    row_pts = [np.array([0.0]), np.array([0.0])]
+    col_pts = [np.array([0.0]), np.array([1e-10])]
+    trials = [(0, 0, -1), (0, 1, 1), (1, 1, -1)]
+    result = equivalence_check(row_pts, col_pts, kern, kern, trials, params, seed=0)
+    assert result["max_gap"] <= 1e-6
 
 
 def outer_replay_exponent(kappa, eta, log, row_factor, col_factor):

@@ -274,7 +274,7 @@ def test_box_instance_single_box():
 
 
 def test_box_instance_infeasible_packing():
-    with pytest.raises(RuntimeError, match="could not place"):
+    with pytest.raises(ValueError, match="could not place"):
         box_instance(k=12, d=1, r=2.0, delta_min=3.9, points_per_box=1,
                      seed=2, max_attempts=30)
 

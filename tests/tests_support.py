@@ -4,7 +4,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from megmc.inductive import InductivePredictor, _side_factor
 from megmc.sideinfo import Graph, LinearKernel, MinKernel, box_transform
+from megmc.spectral import eig_sym
+from megmc.transductive import count_exponent, exp_margin, should_update, sign_predict
 
 
 def path_graph(n, w=1.0):
@@ -123,3 +126,43 @@ def reference_trials(instance, rng) -> list:
         i, j = int(flat) // instance.n, int(flat) % instance.n
         out.append((i, j, int(instance.labels[i, j])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# rebuild-every-trial inductive step, frozen as the reference for the
+# kept-state InductivePredictor (same factors, same exponent builder)
+
+
+class RebuildingInductivePredictor(InductivePredictor):
+    """InductivePredictor that rebuilds both side factors, the exponent and
+    its eigendecomposition from the registries and update log every trial."""
+
+    def step(self, i, j, y_rand: float = 0.0):
+        if self._pending is not None:
+            raise RuntimeError("previous step was never committed")
+        self._trial += 1
+        sq_row, pos_i = _side_factor(self.row_kernel, self.row_identity,
+                                     self.row_registry, i, self.r_tilde_row)
+        sq_col, pos_j = _side_factor(self.col_kernel, self.col_identity,
+                                     self.col_registry, j, self.r_tilde_col)
+        exponent = count_exponent(self.kappa, self.params.eta, self.update_log,
+                                  sq_row, sq_col)
+        w, v = eig_sym(exponent)
+        x_t = np.concatenate((sq_row[:, pos_i], sq_col[:, pos_j]))
+        ybar = exp_margin(w, v, x_t, self.params.eta)
+        self._pending = (self._trial, i, j, ybar)
+        return ybar, sign_predict(ybar, y_rand)
+
+    def commit(self, y: int) -> bool:
+        if self._pending is None:
+            raise RuntimeError("no pending step to commit")
+        if y not in (-1, 1):
+            raise ValueError(f"label must be -1 or +1, got {y}")
+        trial, i, j, ybar = self._pending
+        self._pending = None
+        if not should_update(y, ybar, self.params):
+            return False
+        pos_i = self.row_registry.setdefault(i, len(self.row_registry))
+        pos_j = self.col_registry.setdefault(j, len(self.col_registry))
+        self.update_log.append((trial, int(y), pos_i, pos_j))
+        return True
