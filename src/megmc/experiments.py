@@ -18,7 +18,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,10 @@ class ExperimentConfig:
             raise ValueError("n_values and betas must be non-empty")
         if not 0 <= self.p < 1:
             raise ValueError("p must lie in [0, 1)")
+        if self.k < 1 or self.l < 1:
+            raise ValueError(f"k and l must be >= 1, got k={self.k}, l={self.l}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.jobs < 1:
@@ -308,20 +312,6 @@ def _write_table1_outputs(config: ExperimentConfig, result: dict):
         fh.write("\n")
 
 
-def read_rows_csv(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = {}
-            for key, val in row.items():
-                if key in ("n", "rep", "T", "mistakes", "updates", "noise_flips"):
-                    parsed[key] = int(val)
-                else:
-                    parsed[key] = float(val)
-            rows.append(parsed)
-    return rows
-
-
 def run_single(config: ExperimentConfig) -> dict:
     """One full run (transductive or inductive) with bound reporting.
 
@@ -367,20 +357,22 @@ def summarize_trace(path) -> dict:
     return trace.summary()
 
 
-def equivalence_sweep(instances: int = 50, seed: int = 0, t_max: int = 40,
-                      max_side: int = 8, tol: float = 1e-6) -> dict:
+def equivalence_sweep(instances: int = 50, seed: int = 0, tol: float = 1e-6) -> dict:
     """Random small instances through both predictors; reports the worst gap.
 
-    Alternates min-kernel and jittered-linear-kernel side information.
+    Alternates min-kernel and jittered-linear-kernel side information on
+    2 to 8 rows and columns over 5 to 40 trials.
     """
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     worst = 0.0
     per_kind = {"min": 0, "linear": 0}
     failures = 0
     for idx in range(instances):
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        m = int(rng.integers(2, max_side + 1))
-        n = int(rng.integers(2, max_side + 1))
-        t = int(rng.integers(5, t_max + 1))
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 9))
+        t = int(rng.integers(5, 41))
         kind = "min" if idx % 2 == 0 else "linear"
         per_kind[kind] += 1
         if kind == "min":

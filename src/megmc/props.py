@@ -27,7 +27,7 @@ from .sideinfo import (
     pd_laplacian,
     squared_radius,
 )
-from .spectral import eig_sym, pinv_psd, quad_form, sqrt_psd
+from .spectral import pinv_psd, quad_form, sqrt_psd
 from .synth import box_instance, gen_biclustered
 from .transductive import MatrixExpGradPredictor, TransductiveParams
 

@@ -5,7 +5,7 @@ side information is of its factor structure; it equals m + n when both
 sides are vacuous (identity matrices). For biclustered comparators the
 infimum over factorizations is not computed here; instead we evaluate
 the factored objective for given factors and the closed-form upper
-bounds that drive the experiment configuration.
+bound for PDLaplacian sides that sets d_hat in the experiments.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class FactorPair:
         object.__setattr__(self, "p_hat", p)
         object.__setattr__(self, "q_hat", q)
 
-    def product(self) -> np.ndarray:
-        return self.p_hat @ self.q_hat.T
-
 
 def quasi_dim_factored(pair: FactorPair, m_side, n_side) -> float:
     """R_M tr(P^T M P) + R_N tr(Q^T N Q) for the given factor pair.
@@ -143,25 +140,6 @@ def dqd_upper_pdlap(dec: BlockDecomposition, m_lap_pd, n_lap_pd) -> float:
     row_term = 2.0 * np.trace(r.T @ m_side @ r) * r_m
     col_term = 2.0 * np.trace(c.T @ n_side @ c) * r_n
     return float(row_term + col_term + 2.0 * dec.k + 2.0 * dec.l)
-
-
-def dqd_upper_pd(dec: BlockDecomposition, m_side, n_side) -> float:
-    """Quasi-dimension upper bound for general strictly PD sides.
-
-    k tr(R^T M R) R_M + l tr(C^T N C) R_N.
-    """
-    m_side = symmetrize(m_side)
-    n_side = symmetrize(n_side)
-    r = dec.r_matrix()
-    c = dec.c_matrix()
-    if r.shape[0] != m_side.shape[0] or c.shape[0] != n_side.shape[0]:
-        raise ValueError("decomposition and side matrix dimensions do not match")
-    r_m = squared_radius(m_side)
-    r_n = squared_radius(n_side)
-    return float(
-        dec.k * np.trace(r.T @ m_side @ r) * r_m
-        + dec.l * np.trace(c.T @ n_side @ c) * r_n
-    )
 
 
 def maxnorm_bound_biclustered(k: int, l: int) -> float:
@@ -215,53 +193,3 @@ def minkernel_trace_bound_check(dec_rows, gram, delta_star: float, d: int):
     lhs = float(np.trace(r.T @ solved))
     bound = float(r.shape[1] * (4.0 / delta_star) ** d)
     return lhs, bound
-
-
-def quasidim_report(dec: BlockDecomposition, m_side, n_side, kind: str = "pdlap",
-                    pair: FactorPair | None = None) -> dict:
-    """JSON-ready summary of the bound values for one decomposition.
-
-    kind selects the upper-bound formula: 'pdlap' for PDLaplacian sides,
-    'pd' for general strictly PD sides.
-    """
-    m_side = symmetrize(m_side)
-    n_side = symmetrize(n_side)
-    r_m = squared_radius(m_side)
-    r_n = squared_radius(n_side)
-    r = dec.r_matrix()
-    c = dec.c_matrix()
-    row_trace = float(np.trace(r.T @ m_side @ r))
-    col_trace = float(np.trace(c.T @ n_side @ c))
-    if kind == "pdlap":
-        d_circ = dqd_upper_pdlap(dec, m_side, n_side)
-        terms = {
-            "row": 2.0 * row_trace * r_m,
-            "col": 2.0 * col_trace * r_n,
-            "additive": 2.0 * dec.k + 2.0 * dec.l,
-        }
-    elif kind == "pd":
-        d_circ = dqd_upper_pd(dec, m_side, n_side)
-        terms = {
-            "row": dec.k * row_trace * r_m,
-            "col": dec.l * col_trace * r_n,
-            "additive": 0.0,
-        }
-    else:
-        raise ValueError(f"unknown side kind {kind!r}")
-    maxnorm = maxnorm_bound_biclustered(dec.k, dec.l)
-    report = {
-        "m": dec.m,
-        "n": dec.n,
-        "k": dec.k,
-        "l": dec.l,
-        "kind": kind,
-        "d_circ": d_circ,
-        "maxnorm_bound": maxnorm,
-        "gamma": 1.0 / maxnorm,
-        "squared_radius_row": r_m,
-        "squared_radius_col": r_n,
-        "terms": terms,
-    }
-    if pair is not None:
-        report["d_factored"] = quasi_dim_factored(pair, m_side, n_side)
-    return report

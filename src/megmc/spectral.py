@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 # Relative rank tolerance factor: dim * 2^-52. Eigenvalues <= factor * lambda_max
-# are treated as zero by eig_psd and its callers; configurable per call.
+# are treated as zero by eig_psd and its callers.
 _EPS = 2.0 ** -52
 
 
@@ -52,13 +52,7 @@ def recompose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _rank_threshold(w: np.ndarray, tol: float | None) -> float:
-    scale = max(float(w[-1]), 0.0)
-    factor = len(w) * _EPS if tol is None else float(tol)
-    return factor * scale
-
-
-def eig_psd(a, tol: float | None = None):
+def eig_psd(a):
     """Eigendecomposition of a PSD matrix with its pseudo-inverted spectrum.
 
     Returns (w, v, inv): eig_sym's ascending eigenvalues and eigenvectors,
@@ -67,22 +61,22 @@ def eig_psd(a, tol: float | None = None):
     input is not PSD within tolerance and raises.
     """
     w, v = eig_sym(a)
-    thr = _rank_threshold(w, tol)
+    thr = len(w) * _EPS * max(float(w[-1]), 0.0)
     if w[0] < -thr:
         raise ValueError(f"matrix is not PSD within tolerance: min eigenvalue {w[0]:.3e}")
     inv = np.where(w > thr, 1.0, 0.0) / np.where(w > thr, w, 1.0)
     return w, v, inv
 
 
-def pinv_psd(a, tol: float | None = None) -> np.ndarray:
+def pinv_psd(a) -> np.ndarray:
     """Spectral pseudoinverse of a PSD matrix (see eig_psd for the threshold)."""
-    _, v, inv = eig_psd(a, tol)
+    _, v, inv = eig_psd(a)
     return recompose(inv, v)
 
 
-def sqrt_psd(a, tol: float | None = None) -> np.ndarray:
+def sqrt_psd(a) -> np.ndarray:
     """Unique PSD square root, with eigenvalues clipped at 0 first."""
-    w, v, _ = eig_psd(a, tol)
+    w, v, _ = eig_psd(a)
     return recompose(np.sqrt(np.clip(w, 0.0, None)), v)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sideinfo import SideEmbedding
-from .spectral import eig_sym, exp_sym
+from .spectral import eig_sym, exp_sym, recompose
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,19 @@ _BASE_COLUMNS = ["t", "i", "j", "ybar", "Y", "yhat", "y", "updated", "mistake"]
 _REGISTRY_COLUMNS = ["registry_rows", "registry_cols"]
 
 
-class Trace:
+class Trace(list):
     """Per-trial records of one run plus cumulative mistake/update counts."""
-
-    def __init__(self, records=None):
-        self.records = list(records) if records else []
-
-    def append(self, rec: TrialRecord):
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
     @property
     def mistakes(self) -> int:
-        return sum(r.mistake for r in self.records)
+        return sum(r.mistake for r in self)
 
     @property
     def updates(self) -> int:
-        return sum(r.updated for r in self.records)
+        return sum(r.updated for r in self)
 
     def summary(self) -> dict:
-        t = len(self.records)
+        t = len(self)
         return {
             "T": t,
             "mistakes": self.mistakes,
@@ -105,14 +93,14 @@ class Trace:
         }
 
     def _has_registry(self) -> bool:
-        return any(r.registry_rows is not None for r in self.records)
+        return any(r.registry_rows is not None for r in self)
 
     def to_csv(self, path):
         cols = _BASE_COLUMNS + (_REGISTRY_COLUMNS if self._has_registry() else [])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
-            for r in self.records:
+            for r in self:
                 row = [r.t, r.i, r.j, repr(r.ybar), repr(r.y_rand), r.yhat, r.y,
                        int(r.updated), int(r.mistake)]
                 if len(cols) > len(_BASE_COLUMNS):
@@ -252,9 +240,7 @@ class MatrixExpGradPredictor:
     def density_matrix(self) -> np.ndarray:
         """Materialized density matrix exp(kappa I + sum of update terms)."""
         self._refresh()
-        v, w = self._cache_v, self._cache_w
-        out = (v * np.exp(w)[None, :]) @ v.T
-        return (out + out.T) / 2.0
+        return recompose(np.exp(self._cache_w), self._cache_v)
 
     def rebuilt_exponent(self) -> np.ndarray:
         """Exponent recomputed from the update log alone (replay check)."""

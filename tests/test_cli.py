@@ -46,6 +46,15 @@ def test_equiv_unreachable_tol_exits_2(capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("instances", ["0", "-1"])
+def test_equiv_without_instances_exits_1(capsys, instances):
+    # an empty sweep checks nothing, so it must not report a pass
+    code, out, err = run_cli(capsys, ["equiv", "--instances", instances])
+    assert code == 1
+    assert out == ""
+    assert "instances must be >= 1" in err
+
+
 def test_synth_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "inst"
     code, out, _ = run_cli(capsys, [
@@ -121,6 +130,18 @@ def test_validation_failure_exit_1(capsys):
     code, _, err = run_cli(capsys, ["table1", "--n", "37"])
     assert code == 1
     assert "benchmark dimension" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "0"], "k and l must be >= 1"),
+    (["--l", "0"], "k and l must be >= 1"),
+    (["--seed", "-1"], "seed must be >= 0"),
+])
+def test_run_rejects_empty_classes_and_negative_seed(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["run", "--n", "20", *argv])
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("mode", ["transductive", "inductive"])

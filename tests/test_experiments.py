@@ -1,5 +1,6 @@
 """Experiment harness: determinism, outputs, bounds, equivalence sweep."""
 
+import csv
 import json
 import math
 
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 from megmc.experiments import (
+    ROW_FIELDS,
     ExperimentConfig,
     TABLE1_BETAS,
     TABLE1_N_VALUES,
     build_cell_instance,
     equivalence_sweep,
-    read_rows_csv,
     realizable_bound,
     regret_bound,
     run_single,
@@ -50,6 +51,17 @@ def test_config_defaults():
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
+        ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 0}, "k and l must be >= 1"),
+    ({"l": 0}, "k and l must be >= 1"),
+    ({"k": -2}, "k and l must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_config_rejects_empty_classes_and_negative_seed(kwargs, message):
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig(**kwargs)
 
 
@@ -110,9 +122,14 @@ def test_run_table1_outputs(tmp_path):
         assert stats["mean"] == pytest.approx(np.mean(errs))
         assert stats["std"] == pytest.approx(np.std(errs, ddof=1))
 
-    parsed = read_rows_csv(tmp_path / "rows.csv")
-    assert [drop_seconds(r) for r in parsed] == pytest.approx(
-        [drop_seconds(r) for r in result["rows"]])
+    # floats are written as repr, which parses back exactly
+    counts = {"n", "rep", "T", "mistakes", "updates", "noise_flips"}
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        parsed = [{key: (int if key in counts else float)(val)
+                   for key, val in rec.items()} for rec in reader]
+    assert reader.fieldnames == ROW_FIELDS
+    assert parsed == result["rows"]
 
     table = (tmp_path / "table.txt").read_text()
     assert table.splitlines()[0].startswith("n")
@@ -223,6 +240,12 @@ def test_equivalence_sweep_passes():
     assert report["failures"] == 0
     assert report["max_gap"] <= 1e-6
     assert report["per_kind"] == {"min": 5, "linear": 5}
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_equivalence_sweep_needs_an_instance(instances):
+    with pytest.raises(ValueError, match="instances must be >= 1"):
+        equivalence_sweep(instances=instances)
 
 
 def test_equivalence_sweep_deterministic():

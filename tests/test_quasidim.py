@@ -6,12 +6,10 @@ from megmc.quasidim import (
     BlockDecomposition,
     FactorPair,
     community_factors,
-    dqd_upper_pd,
     dqd_upper_pdlap,
     maxnorm_bound_biclustered,
     minkernel_trace_bound_check,
     quasi_dim_factored,
-    quasidim_report,
 )
 from megmc.sideinfo import (
     MinKernel,
@@ -72,7 +70,7 @@ def test_factor_pair_validation():
     with pytest.raises(ValueError, match="inner dimension"):
         FactorPair([[1.0]], [[1.0, 0.0]])
     pair = FactorPair([[0.6, 0.8]], [[1.0, 0.0]])
-    assert_allclose(pair.product(), [[0.6]])
+    assert_allclose(pair.p_hat @ pair.q_hat.T, [[0.6]])
 
 
 # ---------------------------------------------------------------------------
@@ -126,41 +124,36 @@ def test_quasi_dim_dimension_mismatch():
 def test_dqd_upper_pdlap_two_path_example():
     # both sides get the PD matrix [[3,1],[1,3]]: trace of 1' L 1 = 8,
     # squared radius 3/8, so each term is 2*8*(3/8) = 6 and the additive
-    # part is 2k + 2l = 4
+    # part is 2k + 2l = 4; an identity column side has the term 2n = 4
     dec = BlockDecomposition([0, 0], [0, 0], [[1]])
     side = np.array([[3.0, 1.0], [1.0, 3.0]])
-    total = dqd_upper_pdlap(dec, side, side)
-    assert total == pytest.approx(6.0 + 6.0 + 4.0)
-    report = quasidim_report(dec, side, side, kind="pdlap")
-    assert report["terms"]["row"] == pytest.approx(6.0)
-    assert report["terms"]["additive"] == pytest.approx(4.0)
+    assert dqd_upper_pdlap(dec, side, side) == pytest.approx(6.0 + 6.0 + 4.0)
+    assert dqd_upper_pdlap(dec, side, np.eye(2)) == pytest.approx(6.0 + 4.0 + 4.0)
 
 
 def test_dqd_upper_pdlap_symmetric_in_sides():
+    # swapping the sides and transposing u_star leaves the bound unchanged
     rng = np.random.default_rng(2)
     from megmc.props import random_connected_graph
 
-    g = random_connected_graph(rng, 9)
-    side = pd_laplacian(laplacian_from_graph(g))
-    classes = rng.integers(0, 3, 9)
-    classes[:3] = [0, 1, 2]
-    dec = BlockDecomposition(classes, classes, 2 * np.eye(3, dtype=int) - 1)
-    report = quasidim_report(dec, side, side, kind="pdlap")
-    assert report["terms"]["row"] == pytest.approx(report["terms"]["col"])
+    m_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, 9)))
+    n_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, 7)))
+    rows = rng.integers(0, 3, 9)
+    rows[:3] = [0, 1, 2]
+    cols = rng.integers(0, 2, 7)
+    cols[:2] = [0, 1]
+    u = rng.choice((-1, 1), size=(3, 2))
+    dec = BlockDecomposition(rows, cols, u)
+    swapped = BlockDecomposition(cols, rows, u.T)
+    assert dqd_upper_pdlap(swapped, n_side, m_side) == pytest.approx(
+        dqd_upper_pdlap(dec, m_side, n_side), rel=1e-12)
 
 
 def test_dqd_upper_pdlap_additive_term_is_4k_when_square():
+    # identity sides give 2m + 2n + 2k + 2l, and 2k + 2l = 4k when k = l
     dec = BlockDecomposition([0, 1, 0], [1, 0, 1], [[1, -1], [-1, 1]])
-    report = quasidim_report(dec, np.eye(3), np.eye(3), kind="pdlap")
-    assert report["terms"]["additive"] == pytest.approx(4 * dec.k)
-
-
-def test_dqd_upper_pd_identity_sides():
-    dec = BlockDecomposition([0, 1, 0, 1], [0, 1, 2], [[1, -1, 1], [-1, 1, -1]])
-    val = dqd_upper_pd(dec, np.eye(4), np.eye(3))
-    assert val == pytest.approx(dec.k * 4 + dec.l * 3)
-    trivial = BlockDecomposition([0, 0, 0], [0, 0], [[1]])
-    assert dqd_upper_pd(trivial, np.eye(3), np.eye(2)) == pytest.approx(3 + 2)
+    total = dqd_upper_pdlap(dec, np.eye(3), np.eye(3))
+    assert total == pytest.approx(2 * 3 + 2 * 3 + 4 * dec.k)
 
 
 def test_dqd_pdlap_term_stable_under_edge_weight_scaling():
@@ -178,8 +171,8 @@ def test_dqd_pdlap_term_stable_under_edge_weight_scaling():
     terms = []
     for graph in (g, doubled):
         side = pd_laplacian(laplacian_from_graph(graph))
-        report = quasidim_report(dec, side, side, kind="pdlap")
-        terms.append(report["terms"]["row"])
+        # an identity column side adds the fixed 2n + 2k + 2l
+        terms.append(dqd_upper_pdlap(dec, side, np.eye(8)) - 2 * 8 - 2 * dec.k - 2 * dec.l)
     assert terms[1] <= 2.0 * terms[0] and terms[0] <= 2.0 * terms[1]
     assert terms[0] == pytest.approx(terms[1], rel=1e-9)
 
@@ -293,19 +286,3 @@ def test_clique_star_trace_and_radius():
         assert direct == pytest.approx(edge_sum, abs=1e-10)
         assert direct == pytest.approx(2.0 * (k - 1), abs=1e-10)
         assert squared_radius(lap) <= 4.0 + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# report emitter
-
-
-def test_quasidim_report_contents():
-    dec = BlockDecomposition([0, 1], [0, 1], [[1, -1], [-1, 1]])
-    pair = FactorPair(np.eye(2), np.eye(2))
-    report = quasidim_report(dec, np.eye(2), np.eye(2), kind="pd", pair=pair)
-    assert report["kind"] == "pd"
-    assert report["gamma"] == pytest.approx(1.0 / report["maxnorm_bound"])
-    assert report["d_circ"] == pytest.approx(dqd_upper_pd(dec, np.eye(2), np.eye(2)))
-    assert report["d_factored"] == pytest.approx(4.0)
-    with pytest.raises(ValueError, match="unknown side kind"):
-        quasidim_report(dec, np.eye(2), np.eye(2), kind="banana")

@@ -15,7 +15,7 @@ from megmc.sideinfo import (
     pd_laplacian,
     squared_radius,
 )
-from megmc.spectral import exp_sym, pinv_psd, sqrt_psd
+from megmc.spectral import exp_sym, sqrt_psd
 from megmc.synth import gen_biclustered
 from megmc.transductive import (
     MatrixExpGradPredictor,
