@@ -365,6 +365,8 @@ def equivalence_sweep(instances: int = 50, seed: int = 0, tol: float = 1e-6) -> 
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     worst = 0.0
     per_kind = {"min": 0, "linear": 0}
     failures = 0

@@ -254,6 +254,8 @@ def run_property_suite(seed: int = 0, corrupt: bool = False) -> dict:
     corrupt=True is the negative control: only the Laplacian-shift
     family receives the corrupted construction and is expected to fail.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = [
         moore_penrose_family(seed),
         pdlaplacian_inequality_family(seed, corrupt=corrupt),

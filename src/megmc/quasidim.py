@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .sideinfo import squared_radius
 from .spectral import symmetrize
@@ -123,11 +124,37 @@ def quasi_dim_factored(pair: FactorPair, m_side, n_side) -> float:
     return float(r_m * np.trace(p.T @ m_side @ p) + r_n * np.trace(q.T @ n_side @ q))
 
 
+def _pd_squared_radius(side: np.ndarray, name: str) -> float:
+    """Largest diagonal entry of the inverse of a PD matrix, from its Cholesky factor.
+
+    With M = C C^T, diag(M^-1) holds the squared column norms of C^-1. A
+    side counts as PD only if 1/tr(M^-1), a lower bound on its smallest
+    eigenvalue, stays above dim * 2^-52 * ||M||_1, the eig path's rank
+    threshold at an upper bound on its largest eigenvalue; otherwise, and
+    when the factorization breaks down, a ValueError names the side.
+    """
+    q = side.shape[0]
+    c, info = lapack.dpotrf(side, lower=1)
+    if info == 0:
+        c_inv, info = lapack.dtrtri(c, lower=1)
+    if info != 0:
+        raise ValueError(f"{name} is not positive definite (LAPACK info {info})")
+    diag_inv = np.einsum("ij,ij->j", c_inv, c_inv)
+    norm_1 = float(np.abs(side).sum(axis=0).max())
+    if not float(diag_inv.sum()) * q * 2.0 ** -52 * norm_1 < 1.0:
+        raise ValueError(f"{name} is not positive definite within the rank tolerance")
+    return float(diag_inv.max())
+
+
 def dqd_upper_pdlap(dec: BlockDecomposition, m_lap_pd, n_lap_pd) -> float:
     """Quasi-dimension upper bound for PDLaplacian sides.
 
     2 tr(R^T M R) R_M + 2 tr(C^T N C) R_N + 2k + 2l, where R and C are
-    the one-hot block expansions of the decomposition.
+    the one-hot block expansions of the decomposition. Both sides must be
+    positive definite (a `pd_laplacian` output or an identity): R_M and
+    R_N, the largest diagonal entries of the inverses, come from one
+    Cholesky factor of each side, and a singular or indefinite side
+    raises a ValueError naming it.
     """
     m_side = symmetrize(m_lap_pd)
     n_side = symmetrize(n_lap_pd)
@@ -135,8 +162,8 @@ def dqd_upper_pdlap(dec: BlockDecomposition, m_lap_pd, n_lap_pd) -> float:
     c = dec.c_matrix()
     if r.shape[0] != m_side.shape[0] or c.shape[0] != n_side.shape[0]:
         raise ValueError("decomposition and side matrix dimensions do not match")
-    r_m = squared_radius(m_side)
-    r_n = squared_radius(n_side)
+    r_m = _pd_squared_radius(m_side, "row side m_lap_pd")
+    r_n = _pd_squared_radius(n_side, "column side n_lap_pd")
     row_term = 2.0 * np.trace(r.T @ m_side @ r) * r_m
     col_term = 2.0 * np.trace(c.T @ n_side @ c) * r_n
     return float(row_term + col_term + 2.0 * dec.k + 2.0 * dec.l)

@@ -132,6 +132,14 @@ def test_validation_failure_exit_1(capsys):
     assert "benchmark dimension" in err
 
 
+@pytest.mark.parametrize("command", ["equiv", "props"])
+def test_negative_seed_exits_1_naming_the_field(capsys, command):
+    code, out, err = run_cli(capsys, [command, "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0, got -1" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--k", "0"], "k and l must be >= 1"),
     (["--l", "0"], "k and l must be >= 1"),

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 
+import sys
+
 import numpy as np
 import pytest
 
+from megmc import experiments, spectral
 from megmc.experiments import (
     ROW_FIELDS,
     ExperimentConfig,
@@ -248,7 +251,61 @@ def test_equivalence_sweep_needs_an_instance(instances):
         equivalence_sweep(instances=instances)
 
 
+def test_equivalence_sweep_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        equivalence_sweep(instances=2, seed=-1)
+
+
 def test_equivalence_sweep_deterministic():
     a = equivalence_sweep(instances=4, seed=5)
     b = equivalence_sweep(instances=4, seed=5)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# decompositions per set-up
+
+
+def _count_eig_calls(monkeypatch):
+    """Count eig_sym calls through every megmc module that binds it."""
+    calls = []
+    original = spectral.eig_sym
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("megmc") and getattr(mod, "eig_sym", None) is original:
+            monkeypatch.setattr(mod, "eig_sym", counting)
+    return calls
+
+
+class _LearnerReached(Exception):
+    pass
+
+
+def test_cell_build_decomposes_each_side_once(monkeypatch):
+    # one eigendecomposition per side Laplacian in the shift; d_hat reads
+    # its radii off a Cholesky factor
+    calls = _count_eig_calls(monkeypatch)
+    build_cell_instance(0, 40, 0.5, 0, 0.1, 9, 9)
+    assert calls == [(40, 40), (40, 40)]
+
+
+@pytest.mark.parametrize("conservative", [False, True])
+def test_grid_cell_set_up_decomposes_each_side_twice(monkeypatch, conservative):
+    # the shift and the embedding of each side, and nothing else before the
+    # learner starts
+    calls = _count_eig_calls(monkeypatch)
+    seen = []
+
+    def stop(*args, **kwargs):
+        seen.append(len(calls))
+        raise _LearnerReached
+
+    monkeypatch.setattr(experiments, "run_transductive", stop)
+    with pytest.raises(_LearnerReached):
+        table1_cell(0, 40, 0.0, 0, conservative=conservative)
+    assert seen == [4]
+    assert calls == [(40, 40)] * 4

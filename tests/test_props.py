@@ -36,6 +36,11 @@ def test_suite_passes():
     assert report["total_checks"] >= sum(MIN_CHECKS.values())
 
 
+def test_suite_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+        run_property_suite(seed=-2)
+
+
 def test_per_family_check_counts():
     report = run_property_suite(seed=0)
     by_name = {fam["name"]: fam for fam in report["families"]}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from megmc.quasidim import (
@@ -11,6 +12,7 @@ from megmc.quasidim import (
     minkernel_trace_bound_check,
     quasi_dim_factored,
 )
+from megmc.props import random_connected_graph
 from megmc.sideinfo import (
     MinKernel,
     box_separation,
@@ -20,7 +22,7 @@ from megmc.sideinfo import (
     pd_laplacian,
     squared_radius,
 )
-from megmc.synth import box_instance, clique_star_graph
+from megmc.synth import box_instance, clique_star_graph, perturb_graph
 from tests_support import min_kernel_eval
 
 
@@ -134,8 +136,6 @@ def test_dqd_upper_pdlap_two_path_example():
 def test_dqd_upper_pdlap_symmetric_in_sides():
     # swapping the sides and transposing u_star leaves the bound unchanged
     rng = np.random.default_rng(2)
-    from megmc.props import random_connected_graph
-
     m_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, 9)))
     n_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, 7)))
     rows = rng.integers(0, 3, 9)
@@ -161,8 +161,6 @@ def test_dqd_pdlap_term_stable_under_edge_weight_scaling():
     # invariant when all edge weights double; the contract only promises
     # a factor-2 band, the construction delivers exact invariance
     rng = np.random.default_rng(3)
-    from megmc.props import random_connected_graph
-
     g = random_connected_graph(rng, 8)
     doubled = type(g)(2.0 * g.weights)
     classes = rng.integers(0, 2, 8)
@@ -175,6 +173,94 @@ def test_dqd_pdlap_term_stable_under_edge_weight_scaling():
         terms.append(dqd_upper_pdlap(dec, side, np.eye(8)) - 2 * 8 - 2 * dec.k - 2 * dec.l)
     assert terms[1] <= 2.0 * terms[0] and terms[0] <= 2.0 * terms[1]
     assert terms[0] == pytest.approx(terms[1], rel=1e-9)
+
+
+def eig_reference_dqd(dec, m_side, n_side):
+    # the bound with both radii read off the pseudoinverse by eig_psd
+    r, c = dec.r_matrix(), dec.c_matrix()
+    return (2.0 * np.trace(r.T @ m_side @ r) * squared_radius(m_side)
+            + 2.0 * np.trace(c.T @ n_side @ c) * squared_radius(n_side)
+            + 2.0 * dec.k + 2.0 * dec.l)
+
+
+def random_decomposition(rng, m, n, k, l):
+    rows = rng.integers(0, k, m)
+    rows[:k] = np.arange(k)
+    cols = rng.integers(0, l, n)
+    cols[:l] = np.arange(l)
+    return BlockDecomposition(rows, cols, rng.choice((-1, 1), size=(k, l)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 60), st.integers(2, 60),
+       st.sampled_from(("random", "clique_star")))
+def test_dqd_upper_pdlap_matches_the_eig_reference(seed, m, n, family):
+    # the Cholesky radii equal squared_radius's eigenpair radii on the PD
+    # Laplacians the experiments build, and R_M = 2 R_L on every shift
+    rng = np.random.default_rng(seed)
+    k, l = min(3, m), min(2, n)
+    dec = random_decomposition(rng, m, n, k, l)
+    if family == "random":
+        graphs = (random_connected_graph(rng, m), random_connected_graph(rng, n))
+    else:
+        graphs = (perturb_graph(clique_star_graph(dec.row_classes), 0.3, rng),
+                  perturb_graph(clique_star_graph(dec.col_classes), 0.3, rng))
+    laps = [laplacian_from_graph(g) for g in graphs]
+    m_side, n_side = (pd_laplacian(lap) for lap in laps)
+    for lap, side in zip(laps, (m_side, n_side)):
+        assert squared_radius(side) == pytest.approx(2.0 * squared_radius(lap), rel=1e-10)
+    assert dqd_upper_pdlap(dec, m_side, n_side) == pytest.approx(
+        eig_reference_dqd(dec, m_side, n_side), rel=1e-10)
+    assert dqd_upper_pdlap(dec, m_side, np.eye(n)) == pytest.approx(
+        eig_reference_dqd(dec, m_side, np.eye(n)), rel=1e-10)
+
+
+def test_dqd_upper_pdlap_on_identity_sides_matches_the_eig_reference():
+    rng = np.random.default_rng(4)
+    for m, n in ((1, 1), (5, 3), (40, 70)):
+        dec = random_decomposition(rng, m, n, 1, 1)
+        assert dqd_upper_pdlap(dec, np.eye(m), np.eye(n)) == pytest.approx(
+            eig_reference_dqd(dec, np.eye(m), np.eye(n)), rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dqd_upper_pdlap_rejects_an_unshifted_laplacian(seed):
+    # a connected graph's Laplacian is PSD and singular: the bound names the
+    # side in a ValueError instead of a LinAlgError or a huge radius
+    rng = np.random.default_rng(seed)
+    m = 5 + 40 * seed
+    lap = laplacian_from_graph(random_connected_graph(rng, m))
+    dec = random_decomposition(rng, m, 4, 2, 2)
+    with pytest.raises(ValueError, match="row side m_lap_pd is not positive definite"):
+        dqd_upper_pdlap(dec, lap, np.eye(4))
+    dec_t = BlockDecomposition(dec.col_classes, dec.row_classes, dec.u_star.T)
+    with pytest.raises(ValueError, match="column side n_lap_pd is not positive definite"):
+        dqd_upper_pdlap(dec_t, np.eye(4), lap)
+
+
+@pytest.mark.parametrize("side", [
+    np.zeros((3, 3)),
+    -np.eye(3),
+    np.diag([1.0, 1.0, -1e-3]),
+    np.diag([1.0, 1.0, 1e-17]),
+    1e-310 * np.eye(3),
+])
+def test_dqd_upper_pdlap_rejects_sides_that_are_not_pd(side):
+    dec = BlockDecomposition([0, 1, 0], [0, 1, 1], [[1, -1], [-1, 1]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        dqd_upper_pdlap(dec, side, np.eye(3))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_dqd_upper_pdlap_is_finite_and_scale_free(scale):
+    # the bound is degree-0 homogeneous in each side, with no inf or NaN at
+    # extreme but representable scales
+    rng = np.random.default_rng(11)
+    side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, 9)))
+    dec = random_decomposition(rng, 9, 3, 2, 1)
+    value = dqd_upper_pdlap(dec, scale * side, np.eye(3))
+    assert np.isfinite(value)
+    assert value == pytest.approx(dqd_upper_pdlap(dec, side, np.eye(3)), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 from numpy.testing import assert_allclose
 
 from megmc.spectral import (
@@ -156,3 +159,17 @@ def test_quad_form():
 def test_symmetrize():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     assert_allclose(symmetrize(a), [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_blas_thread_variables_precede_numpy(request):
+    # the root conftest pins BLAS to one thread; that binds only if nothing
+    # loaded numpy first, or each grid worker process runs several threads
+    conftest = request.config.pluginmanager.get_plugin(
+        str(request.config.rootpath / "conftest.py"))
+    assert conftest is not None
+    assert conftest.NUMPY_IMPORTED_FIRST is False
+
+
+def test_linalg_warning_is_an_error():
+    with pytest.raises(LinAlgWarning):
+        warnings.warn("ill-conditioned matrix", LinAlgWarning)
