@@ -174,7 +174,8 @@ def _run_cell(master_seed: int, n: int, beta: float, rep: int, p: float,
     Builds the replicate, derives gamma and eta (eta_scale times the
     horizon-tuned rate unless eta is given), draws the trial order and
     runs the transductive or the inductive learner. Returns the trace and
-    the fields that grid rows and single-run summaries share.
+    the fields that grid rows and single-run summaries share; an inductive
+    run adds its Lanczos step counts (the total and the most in one trial).
     """
     inst, m_side, n_side, d_hat, order_r, y_r = build_cell_instance(
         master_seed, n, beta, rep, p, k, l
@@ -187,10 +188,13 @@ def _run_cell(master_seed: int, n: int, beta: float, rep: int, p: float,
         non_conservative=not conservative,
     )
     trials = inst.trials(order_r)
+    oracle = {}
     if inductive:
         pred = InductivePredictor(PrecomputedKernel(pinv_psd(m_side)),
                                   PrecomputedKernel(pinv_psd(n_side)), params)
         trace = run_inductive(trials, pred, y_r)
+        oracle = {"lanczos_steps": pred.lanczos_steps,
+                  "lanczos_max_steps": pred.lanczos_max_steps}
     else:
         trace = run_transductive(
             trials, embedding_from_pd(m_side), embedding_from_pd(n_side), params, y_r
@@ -206,6 +210,7 @@ def _run_cell(master_seed: int, n: int, beta: float, rep: int, p: float,
         "eta": eta,
         "gamma": gamma,
         "regret_bound": regret_bound(d_hat, gamma, n, n, t_horizon),
+        **oracle,
     }
 
 

@@ -5,11 +5,13 @@ before learning starts. The predictor state lives in the log domain: a
 scalar kappa = log(d_hat / (m+n)) on the diagonal plus the running sum
 of eta * y_s * x_s x_s^T over update trials, and its history is the
 update log of (trial, y_s, row, col) entries. The helpers shared with
-the inductive predictor (count_exponent, exp_margin and the protocol
-loop) live here. This predictor keeps the exponent itself, adding one
-rank-one term per update, and rematerializes its eigendecomposition
-only when an update has landed since the last prediction, which is the
-dominant cost lever because conservative runs update rarely.
+the inductive predictor (count_exponent, the margin reads exp_margin and
+lanczos_margin, and the protocol loop) live here. This predictor keeps
+the exponent itself, adding one rank-one term per update, and
+rematerializes its eigendecomposition only when an update has landed
+since the last prediction, which is the dominant cost lever because
+conservative runs update rarely. The inductive predictor reads its
+margins by lanczos_margin instead.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .sideinfo import SideEmbedding
 from .spectral import eig_sym, exp_sym, recompose
@@ -181,6 +184,72 @@ def exp_margin(w: np.ndarray, v: np.ndarray, x: np.ndarray, eta: float) -> float
             f"overflows exp; eta={eta!r} is too large for this run"
         )
     return ybar
+
+
+# a Lanczos margin has converged when two successive quadrature estimates
+# agree to this fraction of 1 + |ybar|; estimates start once the Gauss
+# remainder bound falls to _LANCZOS_GATE, since each one costs a dstev call
+# and two estimates agree only when the remainder is about that small
+_LANCZOS_RTOL = 1e-12
+_LANCZOS_GATE = 100 * _LANCZOS_RTOL
+_EXP_MAX = math.log(np.finfo(float).max)
+
+
+def lanczos_margin(s: np.ndarray, x: np.ndarray, eta: float) -> tuple[float, int]:
+    """x^T exp(S) x - 1 by Gauss quadrature from Lanczos on S started at x.
+
+    Step k extends the orthonormal Krylov basis by the three-term
+    recurrence and one classical Gram-Schmidt pass against the basis. The
+    k-point estimate is |x|^2 e_1^T exp(T_k) e_1, with the tridiagonal T_k
+    decomposed by LAPACK dstev; its error is at most
+    |x|^2 e^lambda_max (beta_1 ... beta_k)^2 / (2k)!, and estimates are
+    taken only once that bound, with T_k's Gershgorin edge for lambda_max,
+    is below _LANCZOS_GATE. The run stops when two successive estimates
+    agree to _LANCZOS_RTOL (1 + |ybar|), when beta_k vanishes (the basis
+    spans an invariant subspace, so the estimate is exact) or at k = dim S.
+    Returns (ybar, k); a zero x gives (-1.0, 0). A Ritz value that
+    overflows exp raises ValueError naming eta.
+    """
+    norm2 = float(x @ x)
+    if norm2 == 0.0:
+        return -1.0, 0
+    q = x.shape[0]
+    exp_limit = _EXP_MAX - math.log(norm2)
+    basis = np.empty((q, q))
+    alphas, betas = np.empty(q), np.zeros(q)
+    basis[0] = x / math.sqrt(norm2)
+    previous = math.inf
+    beta, edge, remainder = 0.0, -math.inf, norm2
+    for k in range(q):
+        v = basis[k]
+        w = s @ v
+        alpha = float(v @ w)
+        w -= beta * basis[k - 1] + alpha * v if k else alpha * v
+        span = basis[: k + 1]
+        w -= (span @ w) @ span
+        beta_prev, beta = beta, math.sqrt(float(w @ w))
+        alphas[k] = alpha
+        if alpha + beta_prev + beta > edge:
+            edge = alpha + beta_prev + beta
+        remainder *= beta * beta / ((2 * k + 1) * (2 * k + 2))
+        exact = k + 1 == q or beta <= 1e-12 * (abs(alpha) + beta_prev)
+        if (exact or previous < math.inf
+                or remainder * math.exp(min(edge, _EXP_MAX)) <= _LANCZOS_GATE):
+            theta, z, info = lapack.dstev(alphas[: k + 1], betas[: max(k, 1)])
+            if info:
+                raise np.linalg.LinAlgError(f"dstev failed to converge (info={info})")
+            if not theta[-1] <= exp_limit:  # a nan fails too
+                raise ValueError(
+                    f"margin is not finite: the exponent's largest Ritz value "
+                    f"{theta[-1]:.4g} overflows exp; eta={eta!r} is too large for this run"
+                )
+            estimate = norm2 * float(np.exp(theta) @ (z[0] * z[0]))
+            if exact or abs(estimate - previous) <= _LANCZOS_RTOL * (1.0 + abs(estimate - 1.0)):
+                break
+            previous = estimate
+        betas[k] = beta
+        basis[k + 1] = w / beta
+    return estimate - 1.0, k + 1
 
 
 class MatrixExpGradPredictor:

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from megmc import experiments
+from megmc import experiments, inductive, spectral
 from megmc.inductive import (
     InductivePredictor,
     equivalence_check,
@@ -22,12 +23,14 @@ from megmc.sideinfo import (
     laplacian_from_graph,
     pd_laplacian,
 )
-from megmc.spectral import sqrt_psd
+from megmc.spectral import eig_sym, sqrt_psd
 from megmc.transductive import (
     MatrixExpGradPredictor,
     Trace,
     TransductiveParams,
     count_exponent,
+    exp_margin,
+    lanczos_margin,
     run as run_transductive,
 )
 from tests_support import RebuildingInductivePredictor, scalar_gram
@@ -288,6 +291,74 @@ def test_kept_state_matches_rebuilding_reference_on_benchmark_cell(monkeypatch):
     assert max(abs(a.ybar - b.ybar) for a, b in zip(trace, trace_ref)) <= 1e-12
     assert [(a.yhat, a.updated) for a in trace] == [(b.yhat, b.updated) for b in trace_ref]
     assert_same_state(pred, ref)
+
+
+def test_step_decomposes_only_a_new_key_gram(monkeypatch):
+    # the margin comes from Lanczos on the exponent; the one eigendecomposition
+    # left in a step is the square root of a Gram that gains a key
+    decomposed, roots = [], []
+    original_eig, original_sqrt = spectral.eig_sym, inductive.sqrt_psd
+    monkeypatch.setattr(spectral, "eig_sym",
+                        lambda a: decomposed.append(len(a)) or original_eig(a))
+    monkeypatch.setattr(inductive, "sqrt_psd",
+                        lambda a: roots.append(len(a)) or original_sqrt(a))
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 6))
+    kernel = PrecomputedKernel(a @ a.T + np.eye(6))
+    pred = InductivePredictor(kernel, kernel, make_params(6, 6, eta=0.8, gamma=0.9))
+    trials = [(int(rng.integers(6)), int(rng.integers(6)), int(rng.choice((-1, 1))))
+              for _ in range(60)]
+    trace = run_inductive(trials, pred, rng=3)
+    assert trace.updates > 10
+    assert decomposed == roots
+    assert len(roots) < len(trials)
+
+
+def test_lanczos_step_counts_on_benchmark_cell(tmp_path):
+    config = experiments.ExperimentConfig(mode="inductive", n_values=(20,), betas=(0.5,),
+                                          seed=1, out=str(tmp_path))
+    summary = experiments.run_single(config)["summary"]
+    # every trial takes at least one step and none more than the exponent's
+    # size, which is at most 20 row keys plus 20 column keys
+    assert summary["T"] <= summary["lanczos_steps"]
+    assert 1 <= summary["lanczos_max_steps"] <= 40
+    on_disk = json.loads((tmp_path / "summary.json").read_text())
+    assert (on_disk["lanczos_steps"], on_disk["lanczos_max_steps"]) == (
+        summary["lanczos_steps"], summary["lanczos_max_steps"])
+
+
+@st.composite
+def count_exponent_cases(draw):
+    """A count_exponent over a random update log and random PSD side factors,
+    and a stacked pair of factor columns as the start vector."""
+    q_r, q_c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    eta = draw(st.floats(0.0, 3.0, exclude_min=True))
+    n_updates = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor(q):
+        # rank below q leaves the Gram singular, as equal identities do
+        a = rng.standard_normal((q, int(rng.integers(1, q + 1))))
+        gram = a @ a.T
+        return sqrt_psd(gram) / np.sqrt(2.0 * gram.diagonal().max())
+
+    row_factor, col_factor = factor(q_r), factor(q_c)
+    log = [(t, int(rng.choice((-1, 1))), int(rng.integers(q_r)), int(rng.integers(q_c)))
+           for t in range(n_updates)]
+    kappa = float(np.log(rng.uniform(1.0, q_r + q_c) / (q_r + q_c)))
+    s = count_exponent(kappa, eta, log, row_factor, col_factor)
+    x = np.concatenate((row_factor[:, rng.integers(q_r)], col_factor[:, rng.integers(q_c)]))
+    return s, x, eta
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(count_exponent_cases())
+def test_lanczos_margin_matches_eig_margin_on_count_exponents(case):
+    s, x, eta = case
+    ybar, steps = lanczos_margin(s, x, eta)
+    reference = exp_margin(*eig_sym(s), x, eta)
+    assert abs(ybar - reference) <= 1e-12 * (1.0 + abs(reference))
+    assert 1 <= steps <= len(x)
 
 
 # ---------------------------------------------------------------------------

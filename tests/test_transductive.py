@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from megmc.transductive import (
     TransductiveParams,
     TrialRecord,
     derive_eta,
+    lanczos_margin,
     run,
     should_update,
     sign_predict,
@@ -203,6 +205,71 @@ def test_embedding_dimension_mismatch():
         MatrixExpGradPredictor(
             identity_embedding(3), identity_embedding(2), identity_params(2, 2)
         )
+
+
+# ---------------------------------------------------------------------------
+# Lanczos margin against the dense exponential
+
+
+def random_symmetric(rng, q, spread):
+    """Symmetric q x q matrix with spectrum roughly in [-spread, spread]."""
+    a = rng.standard_normal((q, q))
+    return spread * (a + a.T) / (2.0 * math.sqrt(q))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 60, 200])
+@pytest.mark.parametrize("spread", [0.5, 4.0])
+def test_lanczos_margin_matches_dense_exponential(q, spread):
+    rng = np.random.default_rng(q)
+    for _ in range(5):
+        s = random_symmetric(rng, q, spread) + rng.uniform(-3.0, 0.0) * np.eye(q)
+        x = rng.standard_normal(q)
+        x *= rng.uniform(0.05, 1.0) / np.linalg.norm(x)  # |x| <= 1
+        ybar, steps = lanczos_margin(s, x, eta=1.0)
+        dense = float(x @ exp_sym(s) @ x) - 1.0
+        assert abs(ybar - dense) <= 1e-12 * (1.0 + abs(dense))
+        assert 1 <= steps <= q
+
+
+def test_lanczos_margin_of_zero_vector_is_minus_one():
+    s = random_symmetric(np.random.default_rng(3), 5, 2.0)
+    assert lanczos_margin(s, np.zeros(5), eta=1.0) == (-1.0, 0)
+
+
+def test_lanczos_margin_stops_at_step_one_on_an_invariant_start():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(30)
+    x /= 2.0 * np.linalg.norm(x)
+    # S = kappa I: every vector spans an invariant subspace
+    kappa = math.log(7.0 / 30.0)
+    ybar, steps = lanczos_margin(kappa * np.eye(30), x, eta=1.0)
+    assert steps == 1
+    assert ybar == pytest.approx(math.exp(kappa) / 4.0 - 1.0, rel=1e-14)
+    # x an eigenvector, with eigenvalue 1.5, of a general S: the first
+    # column of v is x / |x| up to sign
+    v, _ = np.linalg.qr(np.column_stack([x, rng.standard_normal((30, 29))]))
+    w = np.linspace(-2.0, 2.0, 30)
+    w[0] = 1.5
+    s = (v * w) @ v.T
+    ybar, steps = lanczos_margin(s, x, eta=1.0)
+    assert steps == 1
+    assert ybar == pytest.approx(math.exp(1.5) / 4.0 - 1.0, rel=1e-13)
+
+
+def test_lanczos_margin_overflow_names_ritz_value_and_eta():
+    # exp(1e5) is not representable; from a start that is not an eigenvector
+    # the Krylov space of this rank-one-plus-shift S closes at step 2, where
+    # the overflowing Ritz value appears
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(8)
+    u /= np.linalg.norm(u)
+    s = 1e5 * np.outer(u, u) - 0.5 * np.eye(8)
+    x = np.full(8, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"Ritz value 1e\+05 overflows exp; eta=100000.0 is too large"):
+            lanczos_margin(s, x, eta=1e5)
 
 
 # ---------------------------------------------------------------------------

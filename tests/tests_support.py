@@ -130,7 +130,8 @@ def reference_trials(instance, rng) -> list:
 
 # ---------------------------------------------------------------------------
 # rebuild-every-trial inductive step, frozen as the reference for the
-# kept-state InductivePredictor (same factors, same exponent builder)
+# kept-state InductivePredictor (same factors, same exponent builder); its
+# margin stays on eig_sym, the exact reference for the Lanczos margin
 
 
 class RebuildingInductivePredictor(InductivePredictor):
