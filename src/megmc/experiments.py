@@ -29,11 +29,11 @@ from .sideinfo import (
     LinearKernel,
     MinKernel,
     PrecomputedKernel,
+    _pd_inverse_factor,
     embedding_from_pd,
     laplacian_from_graph,
     pd_laplacian,
 )
-from .spectral import pinv_psd
 from .synth import Instance, apply_label_noise, clique_star_graph, perturb_graph
 from .transductive import Trace, TransductiveParams, derive_eta, run as run_transductive
 
@@ -190,8 +190,11 @@ def _run_cell(master_seed: int, n: int, beta: float, rep: int, p: float,
     trials = inst.trials(order_r)
     oracle = {}
     if inductive:
-        pred = InductivePredictor(PrecomputedKernel(pinv_psd(m_side)),
-                                  PrecomputedKernel(pinv_psd(n_side)), params)
+        # the kernel Grams are the inverse side matrices, C^-T C^-1 for M = C C^T
+        row_inv, _ = _pd_inverse_factor(m_side, "row side")
+        col_inv, _ = _pd_inverse_factor(n_side, "column side")
+        pred = InductivePredictor(PrecomputedKernel(row_inv.T @ row_inv),
+                                  PrecomputedKernel(col_inv.T @ col_inv), params)
         trace = run_inductive(trials, pred, y_r)
         oracle = {"lanczos_steps": pred.lanczos_steps,
                   "lanczos_max_steps": pred.lanczos_max_steps}

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sideinfo import embedding_from_pd, gram_matrix
+from .sideinfo import SideEmbedding, gram_matrix
 # no step calls eig_sym; it stays bound here because the benchmark's tracer
 # (perfbench/megbench) rebinds it in every predictor module and checks that
-from .spectral import eig_sym, pinv_psd, sqrt_psd  # noqa: F401
+from .spectral import eig_sym, sqrt_psd  # noqa: F401
 from .transductive import (
     Trace,
     TransductiveParams,
@@ -171,6 +171,15 @@ def run_inductive(trials, predictor: InductivePredictor, rng) -> Trace:
     )
 
 
+def _full_gram_embedding(gram: np.ndarray) -> SideEmbedding:
+    """Transductive side for a full Gram K: the side matrix K^+, whose
+    pseudoinverse is K, so R = max diag K and the factor sqrt(K)/sqrt(2R)."""
+    r = float(gram.diagonal().max())
+    if not r > 0:
+        raise ValueError("Gram has no positive diagonal entry")
+    return SideEmbedding(factor=sqrt_psd(gram) / np.sqrt(2.0 * r), squared_radius=r)
+
+
 def equivalence_check(row_points, col_points, row_kernel, col_kernel,
                       trials, params: TransductiveParams, seed: int) -> dict:
     """Drive both predictors on shared streams and report the prediction gap.
@@ -178,15 +187,16 @@ def equivalence_check(row_points, col_points, row_kernel, col_kernel,
     The transductive side matrices are the pseudoinverses of the full
     Grams over the identity universes, and the inductive r_tilde values
     are pinned to the matching squared radii, which is exactly the
-    regime where the two algorithms coincide. Trial indices are the
+    regime where the two algorithms coincide. The transductive
+    embeddings are built from the Grams themselves, the factor
+    sqrt(K)/sqrt(2 max diag K), so no Gram is inverted and a singular one
+    (equal points) needs no special case. Trial indices are the
     inductive keys and row_points[i], col_points[j] their identities, so
     equal points at two indices stay two identities on both sides.
     Returns a dict with the max per-trial |ybar| gap and agreement flags.
     """
-    row_gram_full = gram_matrix(row_kernel, list(row_points))
-    col_gram_full = gram_matrix(col_kernel, list(col_points))
-    row_emb = embedding_from_pd(pinv_psd(row_gram_full))
-    col_emb = embedding_from_pd(pinv_psd(col_gram_full))
+    row_emb = _full_gram_embedding(gram_matrix(row_kernel, list(row_points)))
+    col_emb = _full_gram_embedding(gram_matrix(col_kernel, list(col_points)))
     ind_pred = InductivePredictor(row_kernel, col_kernel, params,
                                   r_tilde_row=row_emb.squared_radius,
                                   r_tilde_col=col_emb.squared_radius,

@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .quasidim import FactorPair, community_factors, minkernel_trace_bound_check, quasi_dim_factored
 from .sideinfo import (
@@ -27,7 +28,7 @@ from .sideinfo import (
     pd_laplacian,
     squared_radius,
 )
-from .spectral import pinv_psd, quad_form, sqrt_psd
+from .spectral import pinv_psd, quad_form
 from .synth import box_instance, gen_biclustered
 from .transductive import MatrixExpGradPredictor, TransductiveParams
 
@@ -159,16 +160,15 @@ def comparator_family(seed=0, cases=8, tol=1e-8) -> FamilyResult:
         q_hat = dec.c_matrix()
         m_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, m)))
         n_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, n)))
-        zm = math.sqrt(squared_radius(m_side)) * (sqrt_psd(m_side) @ p_hat)
-        zn = math.sqrt(squared_radius(n_side)) * (sqrt_psd(n_side) @ q_hat)
-        z = np.vstack((zm, zn))
+        row_emb, col_emb = embedding_from_pd(m_side), embedding_from_pd(n_side)
+        # B^T Z = P_hat / sqrt(2) for each side's lower-triangular factor B
+        z = np.vstack([solve_triangular(emb.factor, f, trans="T", lower=True)
+                       for emb, f in ((row_emb, p_hat), (col_emb, q_hat))]) / math.sqrt(2.0)
         w_star = z @ z.T
         params = TransductiveParams(
             eta=1.0, gamma=1.0 / math.sqrt(dec.l), d_hat=float(m + n), m=m, n=n
         )
-        pred = MatrixExpGradPredictor(
-            embedding_from_pd(m_side), embedding_from_pd(n_side), params
-        )
+        pred = MatrixExpGradPredictor(row_emb, col_emb, params)
         u = dec.matrix()
         for i in range(m):
             for j in range(n):

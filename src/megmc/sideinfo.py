@@ -1,13 +1,16 @@
 """Side information objects: graphs, PDLaplacians, kernels, embeddings.
 
-Both predictors consume a side matrix only through the per-identity
-embedding column sqrt(M^+) e_i / sqrt(2 R_M), where R_M is the largest
-diagonal entry of M^+. This module builds those embeddings from graph
-Laplacians (shifted to strict positive definiteness) or from kernel Gram
-matrices, and provides the box-separation geometry used by the min
-kernel analysis. A graph is its symmetric weight matrix; the Laplacian
-shift and the embedding each take one eigendecomposition of their input
-and read the diagonal of the pseudoinverse off its eigenpairs.
+Both predictors consume a side matrix only through per-identity
+embedding columns b_i with b_i^T b_j = M^-1_ij / (2 R_M), where R_M is the
+largest diagonal entry of M^-1. This module builds those embeddings from
+graph Laplacians (shifted to strict positive definiteness) or from
+kernel Gram matrices, and provides the box-separation geometry used by
+the min kernel analysis. A graph is its symmetric weight matrix. The
+Laplacian shift and the embedding each take one Cholesky factorization
+M = C C^T of a PD matrix (the shift's is L/s + 11^T/m, the embedding's
+its input): the squared column norms of C^-1 are the diagonal of M^-1,
+and the embedding is C^-1 scaled. No eigendecomposition is made on that
+path; squared_radius keeps the general PSD form.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
-from .spectral import eig_psd, eig_sym, recompose, symmetrize
+from .spectral import eig_psd, eig_sym, symmetrize
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +96,33 @@ def laplacian_from_graph(g: Graph) -> np.ndarray:
     return np.diag(g.weights.sum(axis=1)) - g.weights
 
 
-def _max_pinv_diag(v: np.ndarray, inv: np.ndarray) -> float:
-    """Largest diagonal entry of v diag(inv) v^T, read in O(q^2) without the product."""
-    return float(np.max((v * v) @ inv))
-
-
 def squared_radius(m_psd) -> float:
     """Largest diagonal entry of the pseudoinverse of a PSD matrix."""
     _, v, inv = eig_psd(m_psd)
-    return _max_pinv_diag(v, inv)
+    # the diagonal of v diag(inv) v^T, read in O(q^2) without the product
+    return float(np.max((v * v) @ inv))
+
+
+def _pd_inverse_factor(side: np.ndarray, name: str):
+    """(C^-1, diag(M^-1)) for a PD matrix M = C C^T, C its lower Cholesky factor.
+
+    diag(M^-1) holds the squared column norms of C^-1. M counts as PD only
+    if 1/tr(M^-1), a lower bound on its smallest eigenvalue, stays above
+    dim * 2^-52 * ||M||_1, the PSD rank threshold at an upper bound on its
+    largest eigenvalue; otherwise, and when the factorization breaks down,
+    a ValueError names the matrix.
+    """
+    q = side.shape[0]
+    c, info = lapack.dpotrf(side, lower=1)
+    if info == 0:
+        c_inv, info = lapack.dtrtri(c, lower=1)
+    if info != 0:
+        raise ValueError(f"{name} is not positive definite (LAPACK info {info})")
+    diag_inv = np.einsum("ij,ij->j", c_inv, c_inv)
+    norm_1 = float(np.abs(side).sum(axis=0).max())
+    if not float(diag_inv.sum()) * q * 2.0 ** -52 * norm_1 < 1.0:
+        raise ValueError(f"{name} is not positive definite within the rank tolerance")
+    return c_inv, diag_inv
 
 
 def pd_laplacian(l) -> np.ndarray:
@@ -118,24 +140,25 @@ def pd_laplacian(l) -> np.ndarray:
     must be the Laplacian of a connected graph: rank m-1 with L 1 = 0.
     Rank deficiency of 2 or more (a disconnected graph) is an error; the
     synth module's connectivity repair is the sanctioned way to feed
-    this function. One PSD-checked eigendecomposition of L serves both
-    the null-space check and R_L, the largest diagonal entry of L^+.
+    this function. R_L, the largest diagonal entry of L^+, comes from one
+    Cholesky factorization: for a connected graph and s = max(max|L|, 1),
+    (L/s + 11^T/m)^-1 = s L^+ + 11^T/m, so R_L = (max diag - 1/m) / s. If
+    that matrix is not PD within the rank tolerance, the graph is not
+    connected (or L is not a Laplacian) and a ValueError says so.
     """
     l = symmetrize(l)
     m = l.shape[0]
+    if m < 2:
+        raise ValueError("a single vertex has L^+ = 0, so R_L = 0 and no shift exists")
     ones = np.ones(m)
     scale = max(np.abs(l).max(), 1.0)
     if np.abs(l @ ones).max() > 1e-8 * scale:
         raise ValueError("input is not a graph Laplacian: rows do not sum to zero")
-    w, v, inv = eig_psd(l)
-    thr = m * (2.0 ** -52) * max(float(w[-1]), 1.0)
-    n_null = int(np.sum(w <= thr))
-    if n_null != 1:
-        raise ValueError(
-            f"Laplacian has a null space of dimension {n_null}; "
-            "the graph must be connected"
-        )
-    r_l = _max_pinv_diag(v, inv)
+    try:
+        _, diag_inv = _pd_inverse_factor(l / scale + 1.0 / m, "L/s + 11^T/m")
+    except ValueError as exc:
+        raise ValueError(f"{exc}; L must be the Laplacian of a connected graph") from exc
+    r_l = (float(diag_inv.max()) - 1.0 / m) / scale
     return l + np.outer(ones, ones) / (m * m * r_l)
 
 
@@ -143,9 +166,12 @@ def pd_laplacian(l) -> np.ndarray:
 class SideEmbedding:
     """Per-identity embedding columns for one side of the matrix.
 
-    factor is the m x m matrix sqrt(M^+) / sqrt(2 R_M); column i is the
-    embedded half-vector for identity i, with squared norm
-    M^+_{ii} / (2 R_M) <= 1/2.
+    factor is an m x m matrix B with B^T B = M^+ / (2 R_M), R_M the
+    largest diagonal entry of M^+ (M^-1 for the PD sides embedding_from_pd
+    takes), so column i is the embedded half-vector for identity i, with
+    squared norm M^+_{ii} / (2 R_M) <= 1/2. B need not be symmetric: any B
+    with that Gram gives the predictors the same margins, since two such
+    square factors differ by an orthogonal map on the left.
     """
 
     factor: np.ndarray
@@ -166,19 +192,16 @@ class SideEmbedding:
 
 
 def embedding_from_pd(m_pd) -> SideEmbedding:
-    """Embedding factor sqrt(M^+) / sqrt(2 R_M) for a PD side matrix.
+    """Embedding factor C^-1 / sqrt(2 R_M) for a PD side matrix M = C C^T.
 
-    One PSD-checked eigendecomposition M = V diag(w) V^T gives both R_M,
-    the largest diagonal entry of M^+, and the factor
-    V diag(w^-1/2) V^T / sqrt(2 R_M) over the eigenvalues above the rank
-    threshold.
+    C is the lower Cholesky factor, so the factor is lower-triangular with
+    factor^T factor = M^-1 / (2 R_M), and R_M, the largest diagonal entry
+    of M^-1, is the largest squared column norm of C^-1. A singular or
+    indefinite side raises a ValueError.
     """
-    _, v, inv = eig_psd(m_pd)
-    r = _max_pinv_diag(v, inv)
-    if not r > 0:
-        raise ValueError("side matrix pseudoinverse has no positive diagonal entry")
-    factor = recompose(np.sqrt(inv), v) / np.sqrt(2.0 * r)
-    return SideEmbedding(factor=factor, squared_radius=r)
+    c_inv, diag_inv = _pd_inverse_factor(symmetrize(m_pd), "side matrix")
+    r = float(diag_inv.max())
+    return SideEmbedding(factor=c_inv / np.sqrt(2.0 * r), squared_radius=r)
 
 
 def identity_embedding(dim: int) -> SideEmbedding:

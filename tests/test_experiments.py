@@ -285,18 +285,17 @@ class _LearnerReached(Exception):
     pass
 
 
-def test_cell_build_decomposes_each_side_once(monkeypatch):
-    # one eigendecomposition per side Laplacian in the shift; d_hat reads
-    # its radii off a Cholesky factor
+def test_cell_build_makes_no_eigendecomposition(monkeypatch):
+    # the shift and d_hat read their radii off Cholesky factors
     calls = _count_eig_calls(monkeypatch)
     build_cell_instance(0, 40, 0.5, 0, 0.1, 9, 9)
-    assert calls == [(40, 40), (40, 40)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("conservative", [False, True])
-def test_grid_cell_set_up_decomposes_each_side_twice(monkeypatch, conservative):
-    # the shift and the embedding of each side, and nothing else before the
-    # learner starts
+def test_grid_cell_set_up_makes_no_eigendecomposition(monkeypatch, conservative):
+    # the shift and the embedding of each side factor it by Cholesky, and
+    # nothing else before the learner starts decomposes a matrix
     calls = _count_eig_calls(monkeypatch)
     seen = []
 
@@ -307,5 +306,4 @@ def test_grid_cell_set_up_decomposes_each_side_twice(monkeypatch, conservative):
     monkeypatch.setattr(experiments, "run_transductive", stop)
     with pytest.raises(_LearnerReached):
         table1_cell(0, 40, 0.0, 0, conservative=conservative)
-    assert seen == [4]
-    assert calls == [(40, 40)] * 4
+    assert seen == [0]

@@ -147,6 +147,11 @@ def test_pd_laplacian_rejects_disconnected():
     two_comp = Graph.from_edges(4, ((0, 1, 1.0), (2, 3, 1.0)))
     with pytest.raises(ValueError, match="connected"):
         pd_laplacian(laplacian_from_graph(two_comp))
+    # two paths joined by one edge far below the rank tolerance
+    weak = Graph.from_edges(6, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-20),
+                                (3, 4, 1.0), (4, 5, 1.0)))
+    with pytest.raises(ValueError, match="connected"):
+        pd_laplacian(laplacian_from_graph(weak))
 
 
 def test_pd_laplacian_rejects_non_laplacian():
@@ -259,21 +264,40 @@ def _count_eig_calls(monkeypatch):
     return calls
 
 
-def test_pd_laplacian_and_embedding_decompose_once(monkeypatch):
+def test_pd_laplacian_and_embedding_make_no_eigendecomposition(monkeypatch):
+    # each factors its input by Cholesky; the eig references run before counting
     rng = np.random.default_rng(8)
     lap = laplacian_from_graph(random_connected_graph(rng, 12))
     r_l = squared_radius(lap)
     pinv_m = pinv_psd(pd_laplacian(lap))
     calls = _count_eig_calls(monkeypatch)
     m_side = pd_laplacian(lap)
-    assert calls == [(12, 12)]
     emb = embedding_from_pd(m_side)
-    assert calls == [(12, 12), (12, 12)]
+    assert calls == []
     assert_allclose(m_side @ np.ones(12), np.ones(12) / (12 * r_l), atol=1e-12)
+    # R_M comes from a Cholesky factor here and from eigenpairs in the reference
     r_m = np.diag(pinv_m).max()
-    assert emb.squared_radius == r_m
-    assert_allclose(emb.factor, emb.factor.T, atol=0)
-    assert_allclose(emb.factor @ emb.factor, pinv_m / (2 * r_m), atol=1e-12)
+    assert abs(emb.squared_radius - r_m) <= 1e-12
+    assert_allclose(emb.factor, np.tril(emb.factor), atol=0)
+    assert_allclose(emb.factor.T @ emb.factor, pinv_m / (2 * r_m), atol=1e-12)
+
+
+def test_pd_laplacian_rejects_inputs_without_a_valid_shift():
+    # an indefinite matrix whose rows sum to zero, and a single vertex
+    # (R_L = 0): both raise rather than return inf or NaN
+    with pytest.raises(ValueError, match="connected"):
+        pd_laplacian(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ValueError, match="single vertex"):
+        pd_laplacian(laplacian_from_graph(Graph(np.zeros((1, 1)))))
+
+
+# the last passes dpotrf and fails the rank tolerance
+@pytest.mark.parametrize("side", [np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                  np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])],
+                         ids=["singular", "indefinite", "near-singular"])
+def test_embedding_rejects_a_side_that_is_not_pd(side):
+    with pytest.raises(ValueError, match="side matrix is not positive definite"):
+        embedding_from_pd(side)
 
 
 def test_embedding_column_out_of_range():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
 
 from megmc.inductive import InductivePredictor, run_inductive
 from megmc.props import random_connected_graph
@@ -14,9 +15,8 @@ from megmc.sideinfo import (
     identity_embedding,
     laplacian_from_graph,
     pd_laplacian,
-    squared_radius,
 )
-from megmc.spectral import exp_sym, sqrt_psd
+from megmc.spectral import exp_sym
 from megmc.synth import gen_biclustered
 from megmc.transductive import (
     MatrixExpGradPredictor,
@@ -299,11 +299,11 @@ def test_embedding_norms_capped_at_one():
 # comparator identities
 
 
-def comparator_factor(p_hat, q_hat, m_side, n_side):
-    # stacked factor Z with Z Z^T the comparator density matrix
-    zm = math.sqrt(squared_radius(m_side)) * (sqrt_psd(m_side) @ p_hat)
-    zn = math.sqrt(squared_radius(n_side)) * (sqrt_psd(n_side) @ q_hat)
-    return np.vstack((zm, zn))
+def comparator_factor(p_hat, q_hat, row_emb, col_emb):
+    # stacked factor Z with Z Z^T the comparator density matrix: B^T Z =
+    # P_hat / sqrt(2) for each side's lower-triangular embedding factor B
+    return np.vstack([solve_triangular(emb.factor, f, trans="T", lower=True)
+                      for emb, f in ((row_emb, p_hat), (col_emb, q_hat))]) / math.sqrt(2.0)
 
 
 def test_comparator_margin_and_trace_identities():
@@ -316,12 +316,11 @@ def test_comparator_margin_and_trace_identities():
         q_hat = dec.c_matrix()
         m_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, m)))
         n_side = pd_laplacian(laplacian_from_graph(random_connected_graph(rng, n)))
-        z = comparator_factor(p_hat, q_hat, m_side, n_side)
+        row_emb, col_emb = embedding_from_pd(m_side), embedding_from_pd(n_side)
+        z = comparator_factor(p_hat, q_hat, row_emb, col_emb)
         w_star = z @ z.T
         pred = MatrixExpGradPredictor(
-            embedding_from_pd(m_side),
-            embedding_from_pd(n_side),
-            identity_params(m, n, gamma=1.0 / math.sqrt(l)),
+            row_emb, col_emb, identity_params(m, n, gamma=1.0 / math.sqrt(l))
         )
         u = dec.matrix()
         for i in range(m):
